@@ -83,10 +83,23 @@ def _add_trace_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _jobs_count(text: str) -> int:
+    """``--jobs N``: a worker count, rejected below 1 as a usage error."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}"
+        ) from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
+
+
 def _add_jobs_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_jobs_count,
         default=None,
         metavar="N",
         help="worker processes for arrangement construction "
@@ -617,7 +630,7 @@ def _cmd_profile(args: argparse.Namespace, out) -> int:
         "database": args.database,
         "query": args.text,
         "decomposition": args.decomposition,
-        "lp_mode": fastlp.get_lp_mode(),
+        "lp_mode": engine.config.lp_mode,
         "cache_dir": args.cache_dir,
         "store": engine.stats().get("store"),
         "fingerprint": engine.fingerprint,

@@ -1,22 +1,19 @@
 """`EngineConfig` — one object for every engine knob.
 
-The engine's tuning surface used to be a sprawl: constructor kwargs on
-:class:`~repro.engine.QueryEngine` (``lp_mode``, ``jobs``,
-``cache_dir``), a second set of CLI flags, and four ``REPRO_*``
-environment variables read at different times by different layers.
-This module consolidates all of it into a single frozen dataclass with
-one documented resolution order:
+The engine's whole tuning surface lives in a single frozen dataclass,
+resolved once, at construction, in one documented order:
 
-    **explicit argument > environment variable > built-in default**
+    **explicit argument > process setting > built-in default**
 
 =================  =====================  ===========================
-field              environment variable   default
+field              process setting        default
 =================  =====================  ===========================
-``lp_mode``        ``REPRO_LP_MODE``      ``"filtered"``
+``lp_mode``        ``--lp-mode`` scope /  ``"filtered"``
+                   ``REPRO_LP_MODE``
 ``jobs``           ``REPRO_JOBS``         ``1`` (sequential)
 ``executor``       ``REPRO_EXECUTOR``     ``"compiled"``
-``backend``        ``REPRO_BACKEND``      ``"memory"``
-``cache_dir``      ``REPRO_CACHE_DIR``    ``None`` (no persistence)
+``cache_dir``      ``--cache-dir`` scope  ``None`` (no persistence)
+                   / ``REPRO_CACHE_DIR``
 ``cache_budget``   ``REPRO_CACHE_BUDGET``  ``None`` (unbounded)
 ``journal``        ``REPRO_JOURNAL``      ``None`` (no journal sink)
 ``optimizer``      ``REPRO_OPTIMIZER``    ``"on"`` (cost-based rewrites)
@@ -26,24 +23,21 @@ field              environment variable   default
 ``cache_capacity``  —                     ``64`` entries
 =================  =====================  ===========================
 
-Two construction styles, for two lifetimes:
-
-* :meth:`EngineConfig.resolve` applies the resolution order **once, at
-  construction** — the environment is snapshotted and the resulting
-  config is fully pinned.  This is what the CLI, the benchmarks and the
-  server use: a long-lived process should not change behaviour because
-  an environment variable moved under it.
-* ``EngineConfig(...)`` with ``None`` fields keeps the legacy *deferred*
-  semantics: a ``None`` field means "consult the environment at use
-  time", exactly as the old per-kwarg plumbing did.  This is what the
-  :class:`~repro.engine.QueryEngine` deprecation shim builds, so
-  existing callers observe identical behaviour.
-
-Consumers::
+A field passed as ``None`` (or left out) is filled from its process
+setting by ``__post_init__`` — the only code that reads process
+settings for a config field.  ``lp_mode`` comes from
+:func:`repro.geometry.fastlp.get_lp_mode` and ``cache_dir`` from
+:func:`repro.store.active_store`, so the CLI's ``--lp-mode`` and
+``--cache-dir`` scopes govern engines built inside them.  After
+construction every field is final: ``cache_dir`` is the pinned
+:class:`~repro.store.disk.DiskStore` (or ``None`` for no persistence),
+and moving an environment variable never changes a live engine.
+:meth:`EngineConfig.resolve` is the same constructor spelled for call
+sites that want to say so::
 
     from repro.config import EngineConfig
 
-    config = EngineConfig.resolve(jobs=4)        # env fills the rest
+    config = EngineConfig.resolve(jobs=4)        # the rest from the process
     engine = QueryEngine(db, config=config)
     store = config.store()                        # the pinned DiskStore
 """
@@ -60,12 +54,10 @@ from repro.geometry import fastlp
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.store.disk import DiskStore
 
-#: Environment variable names, in one place (the store/journal modules
-#: remain the authoritative readers for their own deferred paths).
+#: Environment variable names, in one place.
 ENV_LP_MODE = "REPRO_LP_MODE"
 ENV_JOBS = "REPRO_JOBS"
 ENV_EXECUTOR = "REPRO_EXECUTOR"
-ENV_BACKEND = "REPRO_BACKEND"
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 ENV_CACHE_BUDGET = "REPRO_CACHE_BUDGET"
 ENV_JOURNAL = "REPRO_JOURNAL"
@@ -85,17 +77,11 @@ DEFAULT_CACHE_CAPACITY = 64
 #: byte-identical stage relations.
 EXECUTORS = ("compiled", "interpreted")
 
-#: Ground-fixpoint storage backends.  ``"memory"`` evaluates compiled
-#: ground (finite, region-sort) fixpoint stages with python sets;
-#: ``"sqlite"`` lowers them to SQL over a SQLite database (recursive
-#: CTEs for linear plans) for out-of-core evaluation.
-BACKENDS = ("memory", "sqlite")
-
 #: Cost-based optimizer switch.  ``"on"`` applies the answer-preserving
 #: plan rewrites of :mod:`repro.optimizer` (NNF + miniscoping,
-#: cost-ordered conjuncts, statistics-fed knob selection) inside
-#: :class:`~repro.engine.QueryEngine`; ``"off"`` is the ablated oracle
-#: path the equivalence suite compares against.
+#: cost-ordered conjuncts) inside :class:`~repro.engine.QueryEngine`;
+#: ``"off"`` is the ablated oracle path the equivalence suite compares
+#: against.
 OPTIMIZERS = ("on", "off")
 
 #: Labeled-telemetry switch.  ``"on"`` lets the engine and server attach
@@ -109,191 +95,138 @@ METRICS_LABELS = ("on", "off")
 DEFAULT_SLO_LATENCY_MS = 250.0
 
 
-def resolve_metrics_labels(metrics_labels: "str | None" = None) -> str:
-    """Effective label mode: explicit > ``REPRO_METRICS_LABELS`` > on.
-
-    The deferred twin of the ``metrics_labels`` field, mirroring
-    :func:`resolve_optimizer` for call sites that receive ``None``.
-    """
-    if metrics_labels is None:
-        metrics_labels = (
-            os.environ.get(ENV_METRICS_LABELS, "").strip().lower() or "on"
-        )
-    if metrics_labels not in METRICS_LABELS:
-        raise ValueError(
-            f"metrics_labels must be one of {METRICS_LABELS}, "
-            f"got {metrics_labels!r}"
-        )
-    return metrics_labels
-
-
-def resolve_slow_log(slow_log: "str | None" = None) -> "str | None":
-    """Effective slow-log path: explicit > ``REPRO_SLOW_LOG`` > none."""
-    if slow_log is not None:
-        return slow_log
-    return os.environ.get(ENV_SLOW_LOG, "").strip() or None
-
-
-def resolve_slo_latency_ms(slo_latency_ms: "float | None" = None) -> float:
-    """Effective latency objective: explicit > env > 250 ms."""
-    if slo_latency_ms is not None:
-        latency = float(slo_latency_ms)
-        if latency <= 0:
-            raise ValueError(
-                f"slo_latency_ms must be positive, got {slo_latency_ms!r}"
-            )
-        return latency
-    env_value = _env_slo_latency_ms()
-    return env_value if env_value is not None else DEFAULT_SLO_LATENCY_MS
+def _choice(name: str, value: "str | None", env: str, default: str,
+            allowed: tuple[str, ...]) -> str:
+    """An enumerated knob: explicit > environment > default, validated."""
+    if value is None:
+        value = os.environ.get(env, "").strip().lower() or default
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+    return value
 
 
 def resolve_optimizer(optimizer: "str | None" = None) -> str:
     """The effective optimizer mode: explicit > ``REPRO_OPTIMIZER`` > on.
 
-    The deferred twin of the ``optimizer`` field, mirroring
-    :func:`resolve_executor` for call sites that receive ``None``.
+    For free functions that run without an :class:`EngineConfig`
+    (:func:`repro.datalog.engine.evaluate_program`,
+    :func:`repro.explain.explain_datalog`).
     """
-    if optimizer is None:
-        optimizer = (
-            os.environ.get(ENV_OPTIMIZER, "").strip().lower() or "on"
-        )
-    if optimizer not in OPTIMIZERS:
-        raise ValueError(
-            f"optimizer must be one of {OPTIMIZERS}, got {optimizer!r}"
-        )
-    return optimizer
+    return _choice("optimizer", optimizer, ENV_OPTIMIZER, "on", OPTIMIZERS)
 
 
 def resolve_executor(executor: "str | None" = None) -> str:
     """The effective executor: explicit arg > ``REPRO_EXECUTOR`` > default.
 
-    The deferred twin of the ``executor`` field for code paths that
-    receive ``None`` (legacy call sites without a config object).
+    For code that runs without an :class:`EngineConfig` (a bare
+    :class:`~repro.logic.evaluator.Evaluator`, ``evaluate_program``,
+    ``explain_datalog``).
     """
-    if executor is None:
-        executor = (
-            os.environ.get(ENV_EXECUTOR, "").strip().lower() or "compiled"
-        )
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"executor must be one of {EXECUTORS}, got {executor!r}"
-        )
-    return executor
-
-
-def resolve_backend(backend: "str | None" = None) -> str:
-    """The effective backend: explicit arg > ``REPRO_BACKEND`` > default."""
-    if backend is None:
-        backend = (
-            os.environ.get(ENV_BACKEND, "").strip().lower() or "memory"
-        )
-    if backend not in BACKENDS:
-        raise ValueError(
-            f"backend must be one of {BACKENDS}, got {backend!r}"
-        )
-    return backend
+    return _choice(
+        "executor", executor, ENV_EXECUTOR, "compiled", EXECUTORS
+    )
 
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Frozen bundle of every engine/runtime knob.
+    """Frozen bundle of every engine/runtime knob, resolved at construction.
 
-    ``None`` means *unresolved* (defer to the environment at use time)
-    for every field except ``cache_capacity``, which always has a
-    concrete value.  Use :meth:`resolve` to pin everything now.
+    A field given as ``None`` is filled from its process setting (see
+    the module docstring); afterwards only ``cache_dir``,
+    ``cache_budget``, ``journal`` and ``slow_log`` can be ``None``, and
+    for them ``None`` simply means "none".
     """
 
-    #: LP tier: ``"filtered"`` or ``"exact"`` (``None`` = env at use).
+    #: LP tier: ``"filtered"`` or ``"exact"``.
     lp_mode: str | None = None
-    #: Worker processes for arrangement construction (``None`` = env at
-    #: use time; ``1`` = sequential).
+    #: Worker processes for arrangement construction (``1`` =
+    #: sequential).
     jobs: int | None = None
     #: Fixpoint executor: ``"compiled"`` (relational-algebra IR,
     #: set-at-a-time) or ``"interpreted"`` (per-stage AST walk, the
-    #: oracle).  ``None`` = consult ``REPRO_EXECUTOR`` at use time.
+    #: oracle).
     executor: str | None = None
-    #: Ground-fixpoint backend: ``"memory"`` or ``"sqlite"``
-    #: (``None`` = consult ``REPRO_BACKEND`` at use time).
-    backend: str | None = None
-    #: Disk warm-start directory or a :class:`DiskStore` instance
-    #: (``None`` = env at use time, which may also mean no persistence).
+    #: Disk warm-start store.  A path or :class:`DiskStore` on input;
+    #: always the resolved :class:`DiskStore` (or ``None``: no
+    #: persistence) after construction.
     cache_dir: "DiskStore | str | os.PathLike[str] | None" = None
-    #: Byte budget for the disk store's LRU eviction (``None`` = env at
-    #: use time, else unbounded).
+    #: Byte budget for the disk store's LRU eviction (``None`` =
+    #: unbounded).
     cache_budget: int | None = None
-    #: JSONL journal sink path (``None`` = env at use time, else none).
+    #: JSONL journal sink path (``None`` = no sink).
     journal: str | None = None
-    #: Cost-based optimizer: ``"on"`` or ``"off"`` (``None`` = consult
-    #: ``REPRO_OPTIMIZER`` at use time; the built-in default is on).
+    #: Cost-based optimizer: ``"on"`` or ``"off"``.
     optimizer: str | None = None
-    #: Slow-query log JSONL path (``None`` = env at use time, else no
-    #: slow-query capture).
+    #: Slow-query log JSONL path (``None`` = no slow-query capture).
     slow_log: str | None = None
     #: Per-request latency objective in milliseconds; feeds the SLO
-    #: burn-rate tracker and the slow-query capture threshold (``None``
-    #: = env at use time, else :data:`DEFAULT_SLO_LATENCY_MS`).
+    #: burn-rate tracker and the slow-query capture threshold.
     slo_latency_ms: float | None = None
-    #: Labeled telemetry series: ``"on"`` or ``"off"`` (``None`` =
-    #: consult ``REPRO_METRICS_LABELS`` at use time; default on).
+    #: Labeled telemetry series: ``"on"`` or ``"off"``.
     metrics_labels: str | None = None
     #: In-memory LRU capacity of the engine cache.
     cache_capacity: int = DEFAULT_CACHE_CAPACITY
 
     def __post_init__(self) -> None:
-        if self.lp_mode is not None and self.lp_mode not in fastlp.LP_MODES:
+        from repro import store as store_pkg
+        from repro.arrangement.parallel import resolve_jobs
+
+        def pin(name: str, value: Any) -> None:
+            object.__setattr__(self, name, value)
+
+        lp_mode = self.lp_mode or fastlp.get_lp_mode()
+        if lp_mode not in fastlp.LP_MODES:
             raise ValueError(
-                f"lp_mode must be one of {fastlp.LP_MODES}, "
-                f"got {self.lp_mode!r}"
+                f"lp_mode must be one of {fastlp.LP_MODES}, got {lp_mode!r}"
             )
-        if self.jobs is not None and int(self.jobs) < 1:
+        pin("lp_mode", lp_mode)
+        if self.jobs is None:
+            pin("jobs", resolve_jobs(None))
+        elif int(self.jobs) < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs!r}")
-        if self.executor is not None and self.executor not in EXECUTORS:
-            raise ValueError(
-                f"executor must be one of {EXECUTORS}, "
-                f"got {self.executor!r}"
-            )
-        if self.backend is not None and self.backend not in BACKENDS:
-            raise ValueError(
-                f"backend must be one of {BACKENDS}, got {self.backend!r}"
-            )
-        if self.optimizer is not None and self.optimizer not in OPTIMIZERS:
-            raise ValueError(
-                f"optimizer must be one of {OPTIMIZERS}, "
-                f"got {self.optimizer!r}"
-            )
-        if self.slo_latency_ms is not None and float(self.slo_latency_ms) <= 0:
+        pin("executor", resolve_executor(self.executor))
+        pin("optimizer", resolve_optimizer(self.optimizer))
+        pin("metrics_labels", _choice(
+            "metrics_labels", self.metrics_labels, ENV_METRICS_LABELS,
+            "on", METRICS_LABELS,
+        ))
+        if self.slo_latency_ms is None:
+            pin("slo_latency_ms", _env_slo_latency_ms())
+        elif float(self.slo_latency_ms) > 0:
+            pin("slo_latency_ms", float(self.slo_latency_ms))
+        else:
             raise ValueError(
                 f"slo_latency_ms must be positive milliseconds, "
                 f"got {self.slo_latency_ms!r}"
             )
-        if (
-            self.metrics_labels is not None
-            and self.metrics_labels not in METRICS_LABELS
-        ):
-            raise ValueError(
-                f"metrics_labels must be one of {METRICS_LABELS}, "
-                f"got {self.metrics_labels!r}"
-            )
-        if self.cache_budget is not None and self.cache_budget <= 0:
+        if self.slow_log is None:
+            pin("slow_log", _env_path(ENV_SLOW_LOG))
+        if self.journal is None:
+            pin("journal", _env_path(ENV_JOURNAL))
+        if self.cache_budget is None:
+            pin("cache_budget", _env_cache_budget())
+        elif self.cache_budget <= 0:
             raise ValueError(
                 f"cache_budget must be positive bytes, "
                 f"got {self.cache_budget!r}"
             )
+        if self.cache_dir is None:
+            pin("cache_dir", store_pkg.active_store())
+        else:
+            pin("cache_dir", store_pkg.resolve_store(
+                self.cache_dir, size_budget=self.cache_budget
+            ))
         if self.cache_capacity < 1:
             raise ValueError(
                 f"cache_capacity must be >= 1, got {self.cache_capacity!r}"
             )
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
     def resolve(cls, **overrides: Any) -> "EngineConfig":
-        """A fully pinned config: explicit arg > environment > default.
+        """The constructor, with a clearer error for unknown names.
 
-        The environment is read exactly once, here; the returned config
-        never consults it again.  Unknown keyword names raise
-        ``TypeError`` (same contract as the dataclass constructor).
+        ``EngineConfig.resolve(jobs=4)`` and ``EngineConfig(jobs=4)``
+        build the same value.
         """
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = set(overrides) - known
@@ -301,65 +234,7 @@ class EngineConfig:
             raise TypeError(
                 f"unknown EngineConfig field(s): {sorted(unknown)}"
             )
-
-        def pick(name: str, from_env, default):
-            value = overrides.get(name)
-            if value is not None:
-                return value
-            env_value = from_env()
-            return env_value if env_value is not None else default
-
-        from repro.arrangement.parallel import resolve_jobs
-
-        lp_mode = pick(
-            "lp_mode",
-            lambda: os.environ.get(ENV_LP_MODE, "").strip().lower() or None,
-            "filtered",
-        )
-        jobs = overrides.get("jobs")
-        jobs = resolve_jobs(jobs if jobs is not None else None)
-        executor = resolve_executor(overrides.get("executor"))
-        backend = resolve_backend(overrides.get("backend"))
-        cache_dir = pick(
-            "cache_dir",
-            lambda: os.environ.get(ENV_CACHE_DIR, "").strip() or None,
-            None,
-        )
-        cache_budget = pick("cache_budget", _env_cache_budget, None)
-        journal = pick(
-            "journal",
-            lambda: os.environ.get(ENV_JOURNAL, "").strip() or None,
-            None,
-        )
-        optimizer = resolve_optimizer(overrides.get("optimizer"))
-        slow_log = pick(
-            "slow_log",
-            lambda: os.environ.get(ENV_SLOW_LOG, "").strip() or None,
-            None,
-        )
-        slo_latency_ms = pick(
-            "slo_latency_ms", _env_slo_latency_ms, DEFAULT_SLO_LATENCY_MS
-        )
-        metrics_labels = resolve_metrics_labels(
-            overrides.get("metrics_labels")
-        )
-        capacity = overrides.get("cache_capacity")
-        if capacity is None:
-            capacity = DEFAULT_CACHE_CAPACITY
-        return cls(
-            lp_mode=lp_mode,
-            jobs=jobs,
-            executor=executor,
-            backend=backend,
-            cache_dir=cache_dir,
-            cache_budget=cache_budget,
-            journal=journal,
-            optimizer=optimizer,
-            slow_log=slow_log,
-            slo_latency_ms=slo_latency_ms,
-            metrics_labels=metrics_labels,
-            cache_capacity=capacity,
-        )
+        return cls(**overrides)
 
     def with_overrides(self, **changes: Any) -> "EngineConfig":
         """A copy with some fields replaced (the config itself is frozen)."""
@@ -369,15 +244,8 @@ class EngineConfig:
     # Derived resources
     # ------------------------------------------------------------------
     def store(self) -> "DiskStore | None":
-        """The disk store this config pins (``None`` when unresolved
-        *and* the environment names no directory)."""
-        from repro import store as store_pkg
-
-        if self.cache_dir is None:
-            return store_pkg.active_store()
-        return store_pkg.resolve_store(
-            self.cache_dir, size_budget=self.cache_budget
-        )
+        """The disk store this config pins (``None``: no persistence)."""
+        return self.cache_dir
 
     def make_cache(self, metrics=None) -> "Any":
         """A fresh :class:`~repro.engine.EngineCache` honouring this
@@ -387,21 +255,17 @@ class EngineConfig:
         return EngineCache(
             capacity=self.cache_capacity,
             metrics=metrics,
-            store=self.store() if self.cache_dir is not None else None,
+            store=self.store(),
         )
 
     def describe(self) -> dict[str, Any]:
         """A JSON-ready rendering (for ``/v1/stats`` and bench records)."""
-        cache_dir = self.cache_dir
-        if cache_dir is not None and not isinstance(cache_dir, str):
-            root = getattr(cache_dir, "root", None)
-            cache_dir = str(root if root is not None else cache_dir)
+        store = self.store()
         return {
             "lp_mode": self.lp_mode,
             "jobs": self.jobs,
             "executor": self.executor,
-            "backend": self.backend,
-            "cache_dir": cache_dir,
+            "cache_dir": str(store.root) if store is not None else None,
             "cache_budget": self.cache_budget,
             "journal": self.journal,
             "optimizer": self.optimizer,
@@ -410,6 +274,11 @@ class EngineConfig:
             "metrics_labels": self.metrics_labels,
             "cache_capacity": self.cache_capacity,
         }
+
+
+def _env_path(name: str) -> str | None:
+    """A path-valued environment variable, or ``None`` when unset."""
+    return os.environ.get(name, "").strip() or None
 
 
 def _env_cache_budget() -> int | None:
@@ -426,15 +295,15 @@ def _env_cache_budget() -> int | None:
     return budget if budget > 0 else None
 
 
-def _env_slo_latency_ms() -> float | None:
-    """``REPRO_SLO_LATENCY_MS`` as a positive float, or ``None``."""
+def _env_slo_latency_ms() -> float:
+    """``REPRO_SLO_LATENCY_MS`` as a positive float, else the default."""
     raw = os.environ.get(ENV_SLO_LATENCY_MS, "").strip()
     if not raw:
-        return None
+        return DEFAULT_SLO_LATENCY_MS
     try:
         latency = float(raw)
     except ValueError:
         raise ValueError(
             f"{ENV_SLO_LATENCY_MS} must be a millisecond count, got {raw!r}"
         ) from None
-    return latency if latency > 0 else None
+    return latency if latency > 0 else DEFAULT_SLO_LATENCY_MS

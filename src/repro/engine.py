@@ -13,9 +13,8 @@ module adds the missing layer between the logic and the geometry:
   :meth:`RegionExtension.build <repro.twosorted.structure.\
   RegionExtension.build>` results keyed by those fingerprints, with
   hit/miss/invalidation counters in the process metrics registry.
-* :class:`QueryEngine` — the façade the rest of the library (CLI, the
-  deprecated ``evaluate_query`` / ``query_truth`` helpers, benchmarks)
-  routes through::
+* :class:`QueryEngine` — the façade the rest of the library (CLI,
+  server, benchmarks) routes through::
 
       engine = QueryEngine(db)
       answer = engine.evaluate("S(x) & x < 1")
@@ -40,7 +39,6 @@ from repro.config import EngineConfig
 from repro.constraints.database import ConstraintDatabase
 from repro.constraints.relation import ConstraintRelation
 from repro.arrangement.builder import Arrangement, build_arrangement
-from repro.deprecation import warn_once
 from repro.geometry import fastlp
 from repro.geometry.hyperplane import Hyperplane
 from repro.logic import ast
@@ -435,38 +433,6 @@ def default_cache() -> EngineCache:
     return _DEFAULT_CACHE
 
 
-def shared_cache() -> EngineCache:
-    """Deprecated: the process-wide engine cache.
-
-    .. deprecated:: 1.2
-       Construct an :class:`EngineCache` explicitly and pass it via
-       ``QueryEngine(cache=...)`` (or use :func:`default_cache` when the
-       process default is genuinely what you want).
-    """
-    warn_once(
-        "shared_cache",
-        "shared_cache() is deprecated; pass an explicit EngineCache via "
-        "QueryEngine(cache=...) or use repro.engine.default_cache()",
-    )
-    return _DEFAULT_CACHE
-
-
-def invalidate_cache(database: ConstraintDatabase | None = None) -> None:
-    """Deprecated: invalidate the process-wide engine cache.
-
-    .. deprecated:: 1.2
-       Call :meth:`EngineCache.invalidate` on the cache you own (the
-       process default is reachable via :func:`default_cache`).
-    """
-    warn_once(
-        "invalidate_cache",
-        "invalidate_cache() is deprecated; call .invalidate() on an "
-        "explicit EngineCache (repro.engine.default_cache() for the "
-        "process default)",
-    )
-    _DEFAULT_CACHE.invalidate(database)
-
-
 @dataclass(frozen=True)
 class DeltaReport:
     """What one :meth:`QueryEngine.apply_delta` call did.
@@ -503,14 +469,12 @@ class QueryEngine:
     strings (parsed with :func:`repro.logic.parser.parse_query`).
 
     Runtime knobs arrive as one :class:`~repro.config.EngineConfig`
-    (``QueryEngine(db, config=EngineConfig.resolve(jobs=4))``).  The
-    pre-1.2 per-knob kwargs (``jobs=``, ``lp_mode=``, ``cache_dir=``)
-    still work — they are folded into an unresolved config with the
-    identical deferred-environment semantics — but are deprecated.
+    (``QueryEngine(db, config=EngineConfig.resolve(jobs=4))``); without
+    one the engine resolves a config from the process settings once, at
+    construction, and never consults them again.  Both LP modes return
+    identical statuses and exact witnesses, so the engine cache is
+    deliberately not keyed on ``lp_mode``.
     """
-
-    #: Sentinel distinguishing "kwarg not passed" from an explicit None.
-    _UNSET = object()
 
     def __init__(
         self,
@@ -518,52 +482,15 @@ class QueryEngine:
         decomposition: str = "arrangement",
         spatial_name: str = "S",
         cache: EngineCache | None = None,
-        jobs: "int | None" = _UNSET,
-        lp_mode: "str | None" = _UNSET,
-        cache_dir: "DiskStore | str | None" = _UNSET,
         *,
         config: EngineConfig | None = None,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("jobs", jobs), ("lp_mode", lp_mode), ("cache_dir", cache_dir)
-            )
-            if value is not QueryEngine._UNSET
-        }
-        if config is not None and legacy:
-            raise ValueError(
-                "pass either config=EngineConfig(...) or the legacy "
-                f"kwargs {sorted(legacy)}, not both"
-            )
-        if config is None:
-            if legacy:
-                warn_once(
-                    "QueryEngine.legacy_kwargs",
-                    "QueryEngine(jobs=, lp_mode=, cache_dir=) is "
-                    "deprecated; pass config=repro.config.EngineConfig(...) "
-                    "instead",
-                )
-            # An *unresolved* config: None fields keep the historical
-            # consult-the-environment-at-use-time behaviour.
-            config = EngineConfig(
-                lp_mode=legacy.get("lp_mode"),
-                jobs=legacy.get("jobs"),
-                cache_dir=legacy.get("cache_dir"),
-            )
         self.database = database
         self.decomposition = decomposition
         self.spatial_name = spatial_name
-        #: The engine's (frozen) runtime configuration.
-        self.config = config
+        #: The engine's (frozen, fully resolved) runtime configuration.
+        self.config = config if config is not None else EngineConfig.resolve()
         self.cache = cache if cache is not None else _DEFAULT_CACHE
-        #: Disk warm-start: an explicit ``cache_dir`` (path or
-        #: :class:`~repro.store.disk.DiskStore`) pins persistence for
-        #: this engine; ``None`` defers to the process-wide setting
-        #: (``--cache-dir`` / ``REPRO_CACHE_DIR``) at use time.
-        self._pinned_store = store_pkg.resolve_store(
-            config.cache_dir, size_budget=config.cache_budget
-        )
         self._results: OrderedDict[str, ConstraintRelation] = OrderedDict()
         #: Rewritten plans, keyed by the original query's structural
         #: rendering.  Re-planning must return the *same* formula object
@@ -571,20 +498,11 @@ class QueryEngine:
         self._plans: OrderedDict[str, tuple] = OrderedDict()
         self._statistics = None
         self._statistics_loaded = False
-        self._knobs = None
         registry = get_registry()
         self._c_opt_hits = registry.counter("optimizer.stats_hits")
         self._c_opt_misses = registry.counter("optimizer.stats_misses")
         self._c_opt_rewrites = registry.counter("optimizer.rewrites")
         self._c_opt_updates = registry.counter("optimizer.stats_updates")
-        #: Worker processes for arrangement construction (``None`` =
-        #: consult the ``REPRO_JOBS`` environment variable).
-        self.jobs = config.jobs
-        #: LP tier selection, ``"exact"`` or ``"filtered"`` (``None`` =
-        #: consult ``REPRO_LP_MODE``, defaulting to ``"filtered"``).
-        #: Both modes return identical statuses and exact witnesses, so
-        #: the engine cache is deliberately not keyed on it.
-        self.lp_mode = config.lp_mode
         self._extension: RegionExtension | None = None
         self._evaluator: Evaluator | None = None
         #: Lazily created per-engine arrangement maintenance state
@@ -601,31 +519,19 @@ class QueryEngine:
         return database_fingerprint(self.database)
 
     def _store(self) -> DiskStore | None:
-        """The disk store in effect for this engine right now."""
-        if self._pinned_store is not None:
-            return self._pinned_store
-        return store_pkg.active_store()
+        """The disk store this engine's config pins (``None``: none)."""
+        return self.config.store()
 
     def _store_scope(self):
-        """A context pinning this engine's store for nested builds.
-
-        A no-op when no ``cache_dir`` was pinned, so process-wide
-        ``--cache-dir`` / ``REPRO_CACHE_DIR`` settings stay in effect.
-        """
-        if self._pinned_store is None:
-            from contextlib import nullcontext
-
-            return nullcontext()
-        return store_pkg.store_scope(self._pinned_store)
+        """A context pinning this engine's store for nested builds."""
+        return store_pkg.store_scope(self._store())
 
     # ------------------------------------------------------------------
-    # Cost-based optimizer (statistics, rewrites, knobs)
+    # Cost-based optimizer (statistics, rewrites)
     # ------------------------------------------------------------------
     def optimizer_enabled(self) -> bool:
         """Whether the cost-based optimizer applies to this engine."""
-        from repro.config import resolve_optimizer
-
-        return resolve_optimizer(self.config.optimizer) == "on"
+        return self.config.optimizer == "on"
 
     def statistics(self):
         """The persisted optimizer statistics (``None`` without a store).
@@ -645,34 +551,6 @@ class QueryEngine:
             if isinstance(loaded, Statistics):
                 self._statistics = loaded
         return self._statistics
-
-    def knob_decisions(self) -> list:
-        """The resolved adaptive knobs with their ``because`` strings."""
-        if self._knobs is None:
-            from repro.optimizer.knobs import choose_knobs
-
-            statistics = (
-                self.statistics() if self.optimizer_enabled() else None
-            )
-            self._knobs = choose_knobs(self.config, statistics)
-        return self._knobs
-
-    def _chosen_knob(self, name: str) -> str:
-        from repro.optimizer.knobs import decided
-
-        return decided(self.knob_decisions(), name).chosen
-
-    def _effective_lp_mode(self) -> "str | None":
-        """The LP tier this engine runs under (adaptive when open)."""
-        if self.lp_mode is not None or not self.optimizer_enabled():
-            return self.lp_mode
-        return self._chosen_knob("lp_mode")
-
-    def _effective_jobs(self) -> "int | None":
-        """Arrangement worker count (adaptive when open)."""
-        if self.jobs is not None or not self.optimizer_enabled():
-            return self.jobs
-        return int(self._chosen_knob("jobs"))
 
     #: Bound on remembered rewritten plans per engine.
     _PLAN_CAPACITY = 256
@@ -747,7 +625,6 @@ class QueryEngine:
         run_nodes = harvest_profile(
             profiler.stats, profiler.counters, nodes_by_id
         )
-        run_nodes.update(self._global_run_stats(profiler))
         if not run_nodes:
             return
         base = self.statistics() or Statistics()
@@ -757,64 +634,16 @@ class QueryEngine:
         self._statistics_loaded = True
         self._c_opt_updates.inc()
 
-    def _global_run_stats(self, profiler) -> dict:
-        """Process-wide observations with no single plan node.
-
-        The run delta of the fastlp filter counters (feeds the adaptive
-        ``lp_mode``) and of the arrangement counters (feeds ``jobs``),
-        recorded under pseudo-fingerprints.
-        """
-        from repro.optimizer.statistics import (
-            GLOBAL_ARRANGEMENT,
-            GLOBAL_LP,
-            make_node_stats,
-        )
-
-        before = getattr(profiler, "_run_baseline", None)
-        if before is None:
-            return {}
-        registry = get_registry()
-        delta = {
-            name: registry.get(name) - before.get(name, 0)
-            for name in before
-        }
-        out = {}
-        lp = {
-            name: value
-            for name, value in delta.items()
-            if name.startswith("lp.") and value > 0
-        }
-        if lp:
-            out[GLOBAL_LP] = make_node_stats(calls=1, counters=lp)
-        arrangement = {
-            name: value
-            for name, value in delta.items()
-            if name.startswith("arrangement.") and value > 0
-        }
-        # The build usually pre-dates the profiled window, so the live
-        # region count is the reliable size signal for the jobs knob.
-        if self._extension is not None:
-            count = self._extension.region_count()
-            arrangement["arrangement.faces"] = max(
-                arrangement.get("arrangement.faces", 0), count
-            )
-        if arrangement:
-            out[GLOBAL_ARRANGEMENT] = make_node_stats(
-                calls=1, counters=arrangement
-            )
-        return out
-
     @property
     def extension(self) -> RegionExtension:
         """The region extension 𝔅^Reg (cached across engines)."""
         if self._extension is None:
-            with fastlp.lp_mode(self._effective_lp_mode()), \
-                    self._store_scope():
+            with fastlp.lp_mode(self.config.lp_mode), self._store_scope():
                 self._extension = self.cache.extension(
                     self.database,
                     self.decomposition,
                     self.spatial_name,
-                    jobs=self._effective_jobs(),
+                    jobs=self.config.jobs,
                 )
         return self._extension
 
@@ -823,9 +652,7 @@ class QueryEngine:
         """The engine's memoising evaluator (one per engine instance)."""
         if self._evaluator is None:
             self._evaluator = Evaluator(
-                self.extension,
-                executor=self.config.executor,
-                backend=self.config.backend,
+                self.extension, executor=self.config.executor
             )
         return self._evaluator
 
@@ -875,7 +702,7 @@ class QueryEngine:
         started = time.perf_counter()
         try:
             with TRACER.span("evaluate"), \
-                    fastlp.lp_mode(self._effective_lp_mode()), \
+                    fastlp.lp_mode(self.config.lp_mode), \
                     self._store_scope():
                 answer = self.evaluator.evaluate(formula)
         finally:
@@ -899,13 +726,11 @@ class QueryEngine:
         query — negligible against evaluation cost (measured in
         docs/OBSERVABILITY.md's overhead contract).
         """
-        from repro.config import resolve_executor, resolve_metrics_labels
-
         labels = None
-        if resolve_metrics_labels(self.config.metrics_labels) == "on":
+        if self.config.metrics_labels == "on":
             labels = {
-                "executor": resolve_executor(self.config.executor),
-                "lp_mode": self._effective_lp_mode(),
+                "executor": self.config.executor,
+                "lp_mode": self.config.lp_mode,
             }
         get_telemetry().histogram(name, labels).observe(seconds)
 
@@ -925,12 +750,6 @@ class QueryEngine:
         from repro.explain import NodeProfiler
 
         profiler = NodeProfiler()
-        registry = get_registry()
-        profiler._run_baseline = {
-            name: registry.get(name)
-            for name in profiler.counters
-            if name.startswith(("lp.", "arrangement."))
-        }
         self.evaluator.profiler = profiler
         return profiler
 
@@ -1018,7 +837,7 @@ class QueryEngine:
             self._maintained = inc.MaintainedArrangements()
         delta_started = time.perf_counter()
         with TRACER.span("apply_delta"), \
-                fastlp.lp_mode(self._effective_lp_mode()), \
+                fastlp.lp_mode(self.config.lp_mode), \
                 self._store_scope():
             for name in changed:
                 old_rel = parent_db.relation(name)
@@ -1029,7 +848,7 @@ class QueryEngine:
                     old_rel,
                     new_rel,
                     build_old=lambda rel=old_rel: self.cache.arrangement(
-                        rel, jobs=self._effective_jobs()
+                        rel, jobs=self.config.jobs
                     ),
                 )
                 self.cache.seed_arrangement(
@@ -1098,13 +917,10 @@ class QueryEngine:
 
     def stats(self) -> dict[str, object]:
         """One dict with the engine's caches and evaluator telemetry."""
-        from repro.config import resolve_backend, resolve_executor
-
         registry = get_registry()
         numbers: dict[str, object] = {
             "cache": self.cache.stats(),
-            "executor": resolve_executor(self.config.executor),
-            "backend": resolve_backend(self.config.backend),
+            "executor": self.config.executor,
             "optimizer": {
                 "enabled": self.optimizer_enabled(),
                 "stats_hits": registry.get("optimizer.stats_hits"),

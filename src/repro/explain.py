@@ -615,7 +615,6 @@ def _attach_stage_events(
 
 
 def _attach_optimizer_decisions(
-    engine: "QueryEngine",
     plan: PlanNode,
     index: dict[int, PlanNode],
     outcome,
@@ -624,8 +623,8 @@ def _attach_optimizer_decisions(
 
     Rewrite decisions land on the plan node of the rewritten formula
     node they produced (the root when that node was itself replaced by
-    a later rewrite); the adaptive knob choices become one synthetic
-    ``optimizer`` subtree so ``repro explain`` and ``/v1/explain`` show
+    a later rewrite); one synthetic ``optimizer`` child of the root
+    summarises the rewrite so ``repro explain`` and ``/v1/explain`` show
     the full decision record.
     """
     for decision in outcome.decisions:
@@ -636,23 +635,16 @@ def _attach_optimizer_decisions(
         else:
             node.detail["chosen"] = decision.chosen
             node.detail["because"] = decision.because
-    knobs = PlanNode(
-        "optimizer",
-        "Optimizer: adaptive knobs",
-        {
-            "decisions": len(outcome.decisions),
-            "stats_hits": outcome.model.stats_hits,
-        },
-    )
-    for knob in engine.knob_decisions():
-        knobs.children.append(
-            PlanNode(
-                "knob",
-                f"knob {knob.name}",
-                {"chosen": knob.chosen, "because": knob.because},
-            )
+    plan.children.append(
+        PlanNode(
+            "optimizer",
+            "Optimizer: rewrites",
+            {
+                "decisions": len(outcome.decisions),
+                "stats_hits": outcome.model.stats_hits,
+            },
         )
-    plan.children.append(knobs)
+    )
 
 
 def explain_query(
@@ -679,9 +671,13 @@ def explain_query(
             str(formula), outcome is not None
         ),
     )
-    plan.detail["optimizer"] = "on" if outcome is not None else "off"
+    config = engine.config
+    plan.detail["optimizer"] = config.optimizer
+    plan.detail["lp_mode"] = config.lp_mode
+    plan.detail["jobs"] = config.jobs
+    plan.detail["executor"] = config.executor
     if outcome is not None:
-        _attach_optimizer_decisions(engine, plan, index, outcome)
+        _attach_optimizer_decisions(plan, index, outcome)
     if not analyze:
         return ExplainResult(str(formula), language, plan, False)
 

@@ -32,8 +32,10 @@ tableau is fed from the cached coprime-integer row form
 
 The mode switch (``exact`` disables the filter entirely) is resolved
 from :func:`set_lp_mode` / the ``REPRO_LP_MODE`` environment variable,
-defaulting to ``filtered``; `QueryEngine(lp_mode=...)` and the CLI's
-``--lp-mode`` scope it per run via the :func:`lp_mode` context manager.
+defaulting to ``filtered``; the CLI's ``--lp-mode`` scopes it per run
+via the :func:`lp_mode` context manager, and a
+:class:`~repro.config.EngineConfig` pins the mode in effect when it is
+built (its engine re-enters that scope around every evaluation).
 """
 
 from __future__ import annotations

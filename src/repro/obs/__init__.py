@@ -3,9 +3,7 @@
 The subsystem has three layers, all with near-zero cost while idle:
 
 * :mod:`repro.obs.metrics` — named counters in (possibly nested)
-  registries; the process-wide registry aggregates everything and the
-  legacy telemetry surfaces (``lp_statistics``, ``Evaluator.stats``)
-  are live views over it.
+  registries; the process-wide registry aggregates everything.
 * :mod:`repro.obs.tracing` — a span tree recorded by the process-wide
   :data:`TRACER`, disabled by default; ``repro profile`` and the
   ``--trace`` CLI flag turn it on around one command.
@@ -37,7 +35,6 @@ counters, open traces or journal buffers into each other.
 from repro.obs.metrics import (
     Counter,
     MetricsRegistry,
-    MetricsView,
     get_registry,
     merge_snapshot,
     metrics_snapshot,
@@ -101,7 +98,6 @@ def reset_all() -> None:
 __all__ = [
     "Counter",
     "MetricsRegistry",
-    "MetricsView",
     "get_registry",
     "merge_snapshot",
     "metrics_snapshot",

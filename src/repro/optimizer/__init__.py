@@ -1,4 +1,4 @@
-"""Cost-based optimizer: persisted statistics, plan rewrites, knobs.
+"""Cost-based optimizer: persisted statistics and plan rewrites.
 
 The closed loop over the engine's measured costs:
 
@@ -9,10 +9,7 @@ The closed loop over the engine's measured costs:
   nodes (static priors overridden by observed per-node measurements);
 * :mod:`repro.optimizer.rewrite` — answer-preserving plan rewrites:
   NNF + miniscoping, cheapest/most-selective-first conjunct order,
-  quantifier-chain elimination order, datalog rule-body atom order;
-* :mod:`repro.optimizer.knobs` — adaptive lp_mode/jobs/executor/backend
-  selection from the persisted statistics, with ``chosen``/``because``
-  decision records surfaced by ``repro explain`` and ``/v1/explain``.
+  quantifier-chain elimination order, datalog rule-body atom order.
 
 Only the statistics layer is imported eagerly (the store codec depends
 on it); the heavier submodules are imported by their consumers.
@@ -20,8 +17,6 @@ on it); the heavier submodules are imported by their consumers.
 
 from repro.optimizer.statistics import (
     DECAY,
-    GLOBAL_ARRANGEMENT,
-    GLOBAL_LP,
     MAX_NODES,
     STATS_VERSION,
     NodeStats,
@@ -33,8 +28,6 @@ from repro.optimizer.statistics import (
 
 __all__ = [
     "DECAY",
-    "GLOBAL_ARRANGEMENT",
-    "GLOBAL_LP",
     "MAX_NODES",
     "STATS_VERSION",
     "NodeStats",

@@ -7,8 +7,8 @@ LP solves, faces, fixpoint deltas) and the observed cardinalities
 rates) into a :class:`Statistics` object, which is merged into the
 persisted copy in the :class:`~repro.store.disk.DiskStore` with
 exponential decay and written back.  The next run — possibly in a
-different process — loads it to order conjuncts, pick elimination
-orders and choose knobs.
+different process — loads it to order conjuncts and pick elimination
+orders.
 
 Numbers are exact :class:`~fractions.Fraction` values so the store
 codec round-trips them bit-identically (floats from ``perf_counter``
@@ -44,12 +44,6 @@ DECAY = Fraction(3, 4)
 #: Persisted statistics keep only the hottest nodes (by total wall) so
 #: the store entry stays small no matter how many queries run.
 MAX_NODES = 512
-
-#: Pseudo-fingerprints for process-wide observations that have no
-#: single plan node: the fastlp filter tiers and the arrangement build.
-GLOBAL_LP = "global:lp"
-GLOBAL_ARRANGEMENT = "global:arrangement"
-
 
 def node_fingerprint(node: object) -> str:
     """The stable structural fingerprint of one plan node.

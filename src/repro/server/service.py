@@ -53,19 +53,10 @@ import time
 from typing import Any, Awaitable, Callable, Mapping
 
 from repro.errors import ReproError
-from repro.config import (
-    EngineConfig,
-    resolve_backend,
-    resolve_executor,
-    resolve_metrics_labels,
-    resolve_optimizer,
-    resolve_slo_latency_ms,
-    resolve_slow_log,
-)
+from repro.config import EngineConfig
 from repro.constraints.database import ConstraintDatabase
 from repro.engine import QueryEngine
 from repro.incremental import Delta, delta_op, make_delta
-from repro.geometry import fastlp
 from repro.obs.journal import JOURNAL, journal_context
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.slowlog import SlowQueryLog
@@ -148,17 +139,14 @@ class ConstraintService:
         self.telemetry = (
             telemetry if telemetry is not None else get_telemetry()
         )
-        self._labels_on = (
-            resolve_metrics_labels(self.config.metrics_labels) == "on"
-        )
+        self._labels_on = self.config.metrics_labels == "on"
         #: Per-tenant SLO burn-rate tracking; the latency objective
         #: doubles as the slow-query capture threshold.
-        self.slo = SloTracker(
-            latency_ms=resolve_slo_latency_ms(self.config.slo_latency_ms)
-        )
-        slow_path = resolve_slow_log(self.config.slow_log)
+        self.slo = SloTracker(latency_ms=self.config.slo_latency_ms)
         self.slow_log = (
-            SlowQueryLog(slow_path) if slow_path is not None else None
+            SlowQueryLog(self.config.slow_log)
+            if self.config.slow_log is not None
+            else None
         )
         self._c_requests = registry.counter("server.requests")
         self._c_ok = registry.counter("server.responses.ok")
@@ -353,11 +341,10 @@ class ConstraintService:
                 wall_ms = (time.perf_counter() - started) * 1000
             finally:
                 self.pool.checkin(engine)
-        executor = resolve_executor(self.config.executor)
         if JOURNAL.enabled:
             JOURNAL.emit(
                 "query.answered", id=request_id, database=name,
-                executor=executor, wall_ms=round(wall_ms, 3),
+                executor=self.config.executor, wall_ms=round(wall_ms, 3),
             )
         if self.slow_log is not None and wall_ms >= self.slo.latency_ms:
             await self._capture_slow_query(
@@ -368,7 +355,7 @@ class ConstraintService:
             "database": name,
             "fingerprint": engine.fingerprint,
             "build": build,
-            "executor": executor,
+            "executor": self.config.executor,
             "wall_ms": round(wall_ms, 3),
             "answer": self._render_answer(answer),
         }
@@ -463,8 +450,8 @@ class ConstraintService:
         payload = result.to_dict()
         payload["request_id"] = request_id
         payload["database"] = name
-        payload["executor"] = resolve_executor(self.config.executor)
-        payload["optimizer"] = resolve_optimizer(self.config.optimizer)
+        payload["executor"] = self.config.executor
+        payload["optimizer"] = self.config.optimizer
         return Response(200, payload)
 
     @staticmethod
@@ -587,10 +574,9 @@ class ConstraintService:
                 "build_coalesced": self._c_build_waits.value,
             },
             "config": self.config.describe(),
-            "lp_mode": self.config.lp_mode or fastlp.get_lp_mode(),
-            "executor": resolve_executor(self.config.executor),
-            "backend": resolve_backend(self.config.backend),
-            "optimizer": resolve_optimizer(self.config.optimizer),
+            "lp_mode": self.config.lp_mode,
+            "executor": self.config.executor,
+            "optimizer": self.config.optimizer,
             "admission": self.admission.stats(),
             "pool": self.pool.stats(),
             "store": store.stats() if store is not None else None,

@@ -8,9 +8,11 @@ The package has two halves:
   LRU-bounded on-disk cache those envelopes live in.
 
 Process-wide resolution mirrors the LP-mode and jobs knobs: an explicit
-argument (``QueryEngine(cache_dir=…)``, ``--cache-dir``) wins, then the
+argument (``EngineConfig(cache_dir=…)``, ``--cache-dir``) wins, then the
 ``REPRO_CACHE_DIR`` environment variable (with ``REPRO_CACHE_BUDGET``
-bytes for the LRU limit), then no persistence at all.  Parallel
+bytes for the LRU limit), then no persistence at all.  An
+:class:`~repro.config.EngineConfig` reads :func:`active_store` once,
+when it is built, and pins the result.  Parallel
 arrangement workers inherit ``REPRO_CACHE_DIR`` through the
 environment, so a warm parent store also warms its children.
 

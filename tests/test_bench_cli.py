@@ -81,10 +81,21 @@ class TestBenchRunners:
         assert record["metadata"]["lp_mode"] in ("exact", "filtered")
         assert record["metadata"]["jobs"] == record["jobs"]
 
-    def test_records_carry_executor_backend_metadata(self):
+    def test_records_carry_executor_metadata(self):
         record = run_bench_e2(sizes=(2,))
         assert record["metadata"]["executor"] in ("compiled", "interpreted")
-        assert record["metadata"]["backend"] in ("memory", "sqlite")
+        assert "backend" not in record["metadata"]
+
+    def test_metadata_agrees_with_config_under_exact_mode(self):
+        from repro.bench import _metadata
+        from repro.geometry import fastlp
+
+        with fastlp.lp_mode("exact"):
+            metadata = _metadata(1)
+        assert metadata["lp_mode"] == "exact"
+        assert metadata["config"]["lp_mode"] == "exact"
+        for knob in ("jobs", "executor", "optimizer"):
+            assert metadata[knob] == metadata["config"][knob]
 
     def test_write_record_refuses_missing_metadata(self, tmp_path):
         import pytest
@@ -103,8 +114,8 @@ class TestBenchRunners:
         from repro.bench import write_record
 
         record = run_bench_e2(sizes=(2,), check_only=True)
-        record["metadata"]["backend"] = None
-        with pytest.raises(ValueError, match="backend"):
+        record["metadata"]["executor"] = None
+        with pytest.raises(ValueError, match="executor"):
             write_record(record, str(tmp_path / "bad.json"))
 
     def test_write_record_allows_null_git_sha(self, tmp_path):

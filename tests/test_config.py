@@ -1,9 +1,8 @@
 """EngineConfig: the one documented resolution order for every knob.
 
-``EngineConfig.resolve`` pins **explicit argument > environment >
-default** once, at construction; a plain ``EngineConfig(...)`` keeps
-``None`` fields unresolved (environment consulted at use time), which
-is the contract the ``QueryEngine`` legacy-kwarg shim relies on.
+Every ``EngineConfig`` — built directly or via ``EngineConfig.resolve``
+— pins **explicit argument > process setting > default** once, at
+construction, and an engine never re-reads the environment afterwards.
 """
 
 from __future__ import annotations
@@ -16,9 +15,12 @@ from repro import ConstraintDatabase, QueryEngine, parse_formula
 from repro.config import (
     ENV_CACHE_BUDGET,
     ENV_CACHE_DIR,
+    ENV_EXECUTOR,
     ENV_JOBS,
     ENV_JOURNAL,
     ENV_LP_MODE,
+    ENV_METRICS_LABELS,
+    ENV_OPTIMIZER,
     DEFAULT_CACHE_CAPACITY,
     EngineConfig,
 )
@@ -26,8 +28,9 @@ from repro.config import (
 
 @pytest.fixture
 def clean_env(monkeypatch):
-    for name in (ENV_LP_MODE, ENV_JOBS, ENV_CACHE_DIR,
-                 ENV_CACHE_BUDGET, ENV_JOURNAL):
+    for name in (ENV_LP_MODE, ENV_JOBS, ENV_CACHE_DIR, ENV_CACHE_BUDGET,
+                 ENV_JOURNAL, ENV_EXECUTOR, ENV_OPTIMIZER,
+                 ENV_METRICS_LABELS):
         monkeypatch.delenv(name, raising=False)
     return monkeypatch
 
@@ -51,7 +54,8 @@ def test_resolve_reads_environment(clean_env, tmp_path):
     config = EngineConfig.resolve()
     assert config.lp_mode == "exact"
     assert config.jobs == 3
-    assert config.cache_dir == str(tmp_path)
+    assert str(config.cache_dir.root) == str(tmp_path)
+    assert config.cache_dir.size_budget == 4096
     assert config.cache_budget == 4096
     assert config.journal == "events.jsonl"
 
@@ -105,24 +109,80 @@ def test_engine_accepts_config(clean_env):
     config = EngineConfig.resolve(jobs=2, lp_mode="exact")
     engine = QueryEngine(_interval_db(), config=config)
     assert engine.config is config
-    assert engine.jobs == 2
-    assert engine.lp_mode == "exact"
+    assert engine.config.jobs == 2
+    assert engine.config.lp_mode == "exact"
     assert not engine.evaluate("S(x0)").is_empty()
 
 
 def test_engine_rejects_config_plus_legacy_kwargs(clean_env):
-    with pytest.raises(ValueError, match="config"):
-        QueryEngine(
-            _interval_db(), config=EngineConfig.resolve(), jobs=2
-        )
+    # The per-knob kwargs are gone: knobs travel only in the config.
+    for legacy in ({"jobs": 2}, {"lp_mode": "exact"}, {"cache_dir": None}):
+        with pytest.raises(TypeError):
+            QueryEngine(
+                _interval_db(), config=EngineConfig.resolve(), **legacy
+            )
 
 
-def test_legacy_kwargs_warn_but_work(clean_env):
-    with pytest.deprecated_call():
-        engine = QueryEngine(_interval_db(), jobs=2)
-    assert engine.jobs == 2
-    # The shim keeps env-at-use-time semantics for unset knobs.
-    assert engine.config.lp_mode is None
+def test_plain_constructor_resolves_like_resolve(clean_env, tmp_path):
+    clean_env.setenv(ENV_EXECUTOR, "interpreted")
+    clean_env.setenv(ENV_CACHE_DIR, str(tmp_path))
+    config = EngineConfig(optimizer="off")
+    assert config == EngineConfig.resolve(optimizer="off")
+    assert config.executor == "interpreted"
+    assert config.store() is not None
+
+
+def test_lp_mode_comes_from_the_active_scope(clean_env):
+    from repro.geometry import fastlp
+
+    with fastlp.lp_mode("exact"):
+        assert EngineConfig.resolve().lp_mode == "exact"
+    assert EngineConfig.resolve().lp_mode == "filtered"
+
+
+def test_cache_dir_comes_from_the_active_store(clean_env, tmp_path):
+    from repro.store import store_scope
+
+    with store_scope(str(tmp_path)) as active:
+        config = EngineConfig.resolve()
+    assert config.store() is active
+    assert EngineConfig.resolve().store() is None
+
+
+def test_explicit_zero_jobs_raises(clean_env):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        EngineConfig.resolve(jobs=0)
+
+
+def test_unparsable_jobs_environment_is_sequential(clean_env):
+    clean_env.setenv(ENV_JOBS, "not-a-number")
+    assert EngineConfig.resolve().jobs == 1
+
+
+def test_engine_pins_config_at_construction(clean_env):
+    """Moving the environment after construction changes nothing."""
+    from repro.obs.telemetry import get_telemetry, reset_telemetry
+
+    engine = QueryEngine(_interval_db())
+    clean_env.setenv(ENV_EXECUTOR, "interpreted")
+    clean_env.setenv(ENV_OPTIMIZER, "off")
+    clean_env.setenv(ENV_LP_MODE, "exact")
+    reset_telemetry()
+    assert engine.truth("exists x0. S(x0)")
+    stats = engine.stats()
+    assert stats["executor"] == "compiled"
+    assert stats["optimizer"]["enabled"] is True
+    labels = {
+        tuple(series.labels)
+        for series in get_telemetry().histograms()
+        if series.name == "engine.evaluate_seconds" and series.count
+    }
+    assert labels == {(("executor", "compiled"), ("lp_mode", "filtered"))}
+    root = engine.explain("exists x0. S(x0) & x0 < 1").plan.detail
+    assert root["executor"] == "compiled"
+    assert root["optimizer"] == "on"
+    assert root["lp_mode"] == "filtered"
+    assert root["jobs"] == 1
 
 
 def test_store_pins_explicit_budget(clean_env, tmp_path):
@@ -150,73 +210,47 @@ def test_describe_is_json_ready(clean_env, tmp_path):
 
 
 def test_resolve_executor_precedence(clean_env):
-    from repro.config import (
-        BACKENDS,
-        ENV_BACKEND,
-        ENV_EXECUTOR,
-        EXECUTORS,
-        resolve_backend,
-        resolve_executor,
-    )
+    from repro.config import EXECUTORS, resolve_executor
 
-    clean_env.delenv(ENV_EXECUTOR, raising=False)
-    clean_env.delenv(ENV_BACKEND, raising=False)
     assert EXECUTORS == ("compiled", "interpreted")
-    assert BACKENDS == ("memory", "sqlite")
     # Defaults.
     assert resolve_executor() == "compiled"
-    assert resolve_backend() == "memory"
     # Environment beats the default (case/whitespace normalised).
     clean_env.setenv(ENV_EXECUTOR, " Interpreted ")
-    clean_env.setenv(ENV_BACKEND, "SQLITE")
     assert resolve_executor() == "interpreted"
-    assert resolve_backend() == "sqlite"
     # Explicit argument beats the environment.
     assert resolve_executor("compiled") == "compiled"
-    assert resolve_backend("memory") == "memory"
     # Invalid values are rejected from every source.
     with pytest.raises(ValueError, match="executor must be one of"):
         resolve_executor("jitted")
-    with pytest.raises(ValueError, match="backend must be one of"):
-        resolve_backend("postgres")
     clean_env.setenv(ENV_EXECUTOR, "jitted")
     with pytest.raises(ValueError, match="executor must be one of"):
         resolve_executor()
 
 
 def test_config_resolves_and_describes_executor(clean_env):
-    from repro.config import ENV_BACKEND, ENV_EXECUTOR
-
-    clean_env.delenv(ENV_EXECUTOR, raising=False)
-    clean_env.delenv(ENV_BACKEND, raising=False)
     config = EngineConfig.resolve()
     assert config.executor == "compiled"
-    assert config.backend == "memory"
-    pinned = EngineConfig.resolve(executor="interpreted", backend="sqlite")
+    pinned = EngineConfig.resolve(executor="interpreted")
     assert pinned.executor == "interpreted"
-    assert pinned.backend == "sqlite"
     described = pinned.describe()
     assert described["executor"] == "interpreted"
-    assert described["backend"] == "sqlite"
+    assert "backend" not in described
     # A resolved config never re-reads the environment.
     clean_env.setenv(ENV_EXECUTOR, "interpreted")
     assert config.executor == "compiled"
     with pytest.raises(ValueError, match="executor must be one of"):
         EngineConfig(executor="jitted")
-    with pytest.raises(ValueError, match="backend must be one of"):
-        EngineConfig(backend="postgres")
+    with pytest.raises(TypeError):
+        EngineConfig(backend="sqlite")
 
 
 def test_engine_stats_report_executor(clean_env):
-    from repro.config import ENV_BACKEND, ENV_EXECUTOR
-
-    clean_env.delenv(ENV_EXECUTOR, raising=False)
-    clean_env.delenv(ENV_BACKEND, raising=False)
     engine = QueryEngine(
         _interval_db(),
         config=EngineConfig.resolve(executor="interpreted"),
     )
     stats = engine.stats()
     assert stats["executor"] == "interpreted"
-    assert stats["backend"] == "memory"
+    assert "backend" not in stats
     assert engine.evaluator.executor == "interpreted"

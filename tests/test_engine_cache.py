@@ -3,8 +3,7 @@ the QueryEngine entry point.
 
 The satellite criteria: structurally equal databases hit the cache; a
 mutated formula or a renamed relation misses; invalidation drops the
-entries; the deprecated one-shot helpers still work and agree with the
-engine.
+entries; engines on the default and on a fresh cache agree.
 """
 
 import warnings
@@ -19,8 +18,8 @@ from repro.engine import (
     EngineCache,
     QueryEngine,
     database_fingerprint,
+    default_cache,
     relation_fingerprint,
-    shared_cache,
 )
 from repro.logic.parser import parse_query
 from repro.obs.metrics import MetricsRegistry
@@ -203,26 +202,28 @@ class TestQueryEngine:
         assert stats["evaluator"]["evaluations"] > 0
         assert stats["regions"] == 9
 
-    def test_agrees_with_deprecated_helpers(self):
-        # The shims are deprecated (they warn once per process; see
-        # test_deprecation_shims.py) but must stay answer-equivalent to
-        # the engine until they are removed.
-        from repro.logic.evaluator import evaluate_query, query_truth
-
+    def test_default_cache_engine_agrees_with_fresh_cache(self):
         database = interval_db()
         engine = QueryEngine(database, cache=fresh_cache())
-        query = "forall x. S(x) -> x < 3"
-        relational = "S(x) & x < 1"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            from_helper_truth = query_truth(parse_query(query), database)
-            from_helper = evaluate_query(parse_query(relational), database)
-        assert engine.truth(query) == from_helper_truth
-        assert engine.evaluate(relational).equivalent(from_helper)
+        query = parse_query("forall x. S(x) -> x < 3")
+        relational = parse_query("S(x) & x < 1")
+        default = QueryEngine(database)
+        assert engine.truth(query) == default.truth(query)
+        assert engine.evaluate(relational).equivalent(
+            default.evaluate(relational)
+        )
 
-    def test_shared_cache_is_the_default(self):
+    def test_default_cache_is_the_default(self):
         engine = QueryEngine(interval_db())
-        assert engine.cache is shared_cache()
+        assert engine.cache is default_cache()
+
+    def test_query_engine_emits_no_deprecation_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            engine = QueryEngine(interval_db())
+            assert engine.truth("exists x. S(x)")
+            engine.evaluate("S(x) & x < 1")
+            engine.stats()
 
     def test_repr_mentions_fingerprint(self):
         engine = QueryEngine(interval_db(), cache=fresh_cache())

@@ -16,6 +16,7 @@ from repro.constraints.database import ConstraintDatabase
 from repro.constraints.io import save_database
 from repro.constraints.parser import parse_formula
 from repro.constraints.relation import ConstraintRelation
+from repro.config import EngineConfig
 from repro.engine import QueryEngine
 from repro.explain import PROFILE_COUNTERS, PlanNode
 from repro.logic.parser import parse_query
@@ -25,15 +26,15 @@ from repro.queries.connectivity import connectivity_query_lfp
 
 @pytest.fixture(autouse=True)
 def _clean_slate():
-    from repro.engine import invalidate_cache
+    from repro.engine import default_cache
     from repro.geometry.simplex import clear_feasibility_cache
 
     reset_all()
-    invalidate_cache()
+    default_cache().invalidate()
     clear_feasibility_cache()
     yield
     reset_all()
-    invalidate_cache()
+    default_cache().invalidate()
     clear_feasibility_cache()
 
 
@@ -93,11 +94,13 @@ class TestCompile:
 
     def test_store_prediction(self, tmp_path):
         engine = QueryEngine(
-            one_dim_database(), cache_dir=str(tmp_path / "store")
+            one_dim_database(),
+            config=EngineConfig(cache_dir=str(tmp_path / "store")),
         )
         engine.evaluate("exists x0. S(x0)")
         fresh = QueryEngine(
-            one_dim_database(), cache_dir=str(tmp_path / "store")
+            one_dim_database(),
+            config=EngineConfig(cache_dir=str(tmp_path / "store")),
         )
         plan = fresh.explain("exists x0. S(x0)").plan
         assert plan.detail["result"] == "store"
@@ -158,7 +161,7 @@ class TestAnalyze:
 
     def test_analyze_totals_match_plain_evaluation(self):
         """EXPLAIN ANALYZE measures the same work a plain run does."""
-        from repro.engine import invalidate_cache
+        from repro.engine import default_cache
         from repro.geometry.simplex import clear_feasibility_cache
         from repro.obs.metrics import metrics_snapshot, reset_metrics
 
@@ -166,7 +169,7 @@ class TestAnalyze:
         result = engine.explain("exists x0. S(x0)", analyze=True)
         analyzed = result.totals["counters"]
 
-        invalidate_cache()
+        default_cache().invalidate()
         clear_feasibility_cache()
         reset_metrics()
         plain = QueryEngine(one_dim_database())

@@ -128,6 +128,18 @@ class TestCli:
         assert code == 2
         assert "free region" in output
 
+    @pytest.mark.parametrize("argv", [
+        ("query", "{db}", "exists x. S(x)", "--jobs", "0"),
+        ("serve", "{db}", "--jobs", "0"),
+        ("query", "{db}", "exists x. S(x)", "--jobs", "two"),
+    ])
+    def test_jobs_below_one_is_a_usage_error(self, one_dim_file, argv,
+                                             capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*(arg.format(db=one_dim_file) for arg in argv))
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+
     def test_query_parse_error(self, one_dim_file):
         code, output = run_cli("query", one_dim_file, "S(x")
         assert code == 1
@@ -192,10 +204,10 @@ class TestProfileCommand:
         return json.loads(output)
 
     def test_golden_span_tree_shape(self, one_dim_file):
-        from repro.engine import invalidate_cache
+        from repro.engine import default_cache
         from repro.geometry.simplex import clear_feasibility_cache
 
-        invalidate_cache()                 # force a cold build ...
+        default_cache().invalidate()       # force a cold build ...
         clear_feasibility_cache()          # ... with real LP solves
         payload = self.run_profile(one_dim_file, "exists x. S(x)")
 
@@ -239,9 +251,9 @@ class TestProfileCommand:
         assert metrics["evaluator.evaluations"] > 0
 
     def test_second_profile_hits_the_cache(self, one_dim_file):
-        from repro.engine import invalidate_cache
+        from repro.engine import default_cache
 
-        invalidate_cache()
+        default_cache().invalidate()
         cold = self.run_profile(one_dim_file, "exists x. S(x)")
         warm = self.run_profile(one_dim_file, "exists x. S(x)")
         assert cold["metrics"]["engine.cache.extension.misses"] == 1

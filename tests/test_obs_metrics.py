@@ -1,7 +1,7 @@
 """Tests for the observability subsystem (repro.obs).
 
-Covers the metrics registry (counters, parent roll-up, live views,
-reset isolation) and the tracer (span trees, aggregation, the traced
+Covers the metrics registry (counters, parent roll-up, reset
+isolation) and the tracer (span trees, aggregation, the traced
 decorator, and the disabled-is-free contract the hot paths rely on).
 """
 
@@ -10,7 +10,6 @@ import pytest
 from repro.obs.metrics import (
     Counter,
     MetricsRegistry,
-    MetricsView,
     get_registry,
     metrics_snapshot,
     reset_metrics,
@@ -121,28 +120,6 @@ class TestMetricsRegistry:
         assert registry.names() == ["a", "b"]
 
 
-class TestMetricsView:
-    def test_live_mapping(self):
-        registry = MetricsRegistry()
-        solves = registry.counter("lp.solves")
-        view = MetricsView(registry, {"solves": "lp.solves"})
-        assert view["solves"] == 0
-        solves.inc(3)
-        assert view["solves"] == 3          # live, not a copy
-        assert dict(view) == {"solves": 3}
-        assert list(view) == ["solves"]
-        assert len(view) == 1
-
-    def test_snapshot_is_detached(self):
-        registry = MetricsRegistry()
-        solves = registry.counter("lp.solves")
-        view = MetricsView(registry, {"solves": "lp.solves"})
-        frozen = view.snapshot()
-        solves.inc()
-        assert frozen == {"solves": 0}
-        assert view["solves"] == 1
-
-
 class TestGlobalRegistryIsolation:
     """reset_metrics gives tests a hermetic slate (satellite criterion)."""
 
@@ -155,21 +132,33 @@ class TestGlobalRegistryIsolation:
         # The autouse fixture zeroed whatever test A incremented.
         assert get_registry().get("isolation.probe") == 0
 
-    def test_lp_statistics_shim_is_a_view(self):
-        # The shim is deprecated (it warns once per process; see
-        # test_deprecation_shims.py) but must stay a live view of the
-        # registry counters until it is removed.
+    def test_lp_counters_reset_and_read_through_the_registry(self):
+        import repro.geometry.simplex  # noqa: F401  (registers lp.*)
+
+        reset_metrics("lp.")
+        stats = metrics_snapshot(prefix="lp.")
+        assert stats["lp.solves"] == 0 and stats["lp.cache_hits"] == 0
+        get_registry().counter("lp.solves").inc(2)
+        assert metrics_snapshot(prefix="lp.")["lp.solves"] == 2
+
+    def test_evaluator_metrics_are_warning_free(self):
         import warnings
 
-        from repro.geometry.simplex import lp_statistics, reset_lp_statistics
+        from repro.constraints.database import ConstraintDatabase
+        from repro.constraints.parser import parse_formula
+        from repro.logic.evaluator import Evaluator
+        from repro.logic.parser import parse_query
+        from repro.twosorted.structure import RegionExtension
 
+        database = ConstraintDatabase.from_formula(
+            parse_formula("0 < x0 & x0 < 1"), 1
+        )
+        evaluator = Evaluator(RegionExtension.build(database))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            reset_lp_statistics()
-            stats = lp_statistics()
-            assert stats["solves"] == 0 and stats["cache_hits"] == 0
-            get_registry().counter("lp.solves").inc(2)
-            assert lp_statistics()["solves"] == 2
+            warnings.simplefilter("error")
+            evaluator.truth(parse_query("exists x. S(x)"))
+            assert evaluator.metrics.get("evaluations") > 0
+            assert "evaluations" in evaluator.metrics.snapshot()
 
 
 class TestTracer:

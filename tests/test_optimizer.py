@@ -1,13 +1,13 @@
-"""The cost-based optimizer: rewrites preserve answers, knobs resolve.
+"""The cost-based optimizer: rewrites preserve answers.
 
 The optimizer's contract has three parts.  *Soundness*: every plan
 rewrite (NNF + miniscoping, operand ordering, quantifier-chain
 rotation, datalog body reordering) denotes the same answer as the
 ablated plan — ``optimizer="off"`` is the oracle.  *Transparency*:
 decisions are recorded and surfaced as ``chosen``/``because`` lines in
-EXPLAIN.  *Adaptivity*: knobs resolve explicit > environment >
-statistics > default, and a warm engine consumes the statistics a cold
-engine persisted.
+EXPLAIN, next to the engine's pinned ``lp_mode``/``jobs``/``executor``.
+*Adaptivity*: a warm engine consumes the statistics a cold engine
+persisted.
 """
 
 from fractions import Fraction
@@ -20,12 +20,6 @@ from repro.logic import ast
 from repro.logic.parser import parse_query
 from repro.optimizer import Statistics, make_node_stats, node_fingerprint
 from repro.optimizer.cost import CostModel
-from repro.optimizer.knobs import (
-    GLOBAL_ARRANGEMENT,
-    GLOBAL_LP,
-    choose_knobs,
-    decided,
-)
 from repro.optimizer.rewrite import (
     order_program,
     order_rule_body,
@@ -129,76 +123,6 @@ class TestCostModel:
         assert with_stats.cost(formula) > without.cost(formula)
         assert with_stats.stats_hits == 1
         assert without.stats_hits == 0
-
-
-class TestKnobs:
-    def test_explicit_config_always_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LP_MODE", "exact")
-        config = EngineConfig(lp_mode="filtered")
-        decision = decided(choose_knobs(config), "lp_mode")
-        assert decision.chosen == "filtered"
-        assert decision.because == "explicit configuration"
-
-    def test_environment_beats_statistics(self, monkeypatch):
-        monkeypatch.setenv("REPRO_LP_MODE", "exact")
-        stats = Statistics().merge(
-            {
-                GLOBAL_LP: make_node_stats(
-                    calls=1,
-                    counters={"lp.filter_hits": 100},
-                )
-            }
-        )
-        decision = decided(choose_knobs(EngineConfig(), stats), "lp_mode")
-        assert decision.chosen == "exact"
-        assert "REPRO_LP_MODE" in decision.because
-
-    def test_high_fallback_rate_chooses_exact(self, monkeypatch):
-        monkeypatch.delenv("REPRO_LP_MODE", raising=False)
-        stats = Statistics().merge(
-            {
-                GLOBAL_LP: make_node_stats(
-                    calls=1,
-                    counters={
-                        "lp.filter_hits": 1,
-                        "lp.filter_fallbacks": 9,
-                    },
-                )
-            }
-        )
-        decision = decided(choose_knobs(EngineConfig(), stats), "lp_mode")
-        assert decision.chosen == "exact"
-        assert decision.from_stats
-
-    def test_big_arrangements_choose_parallel_jobs(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        stats = Statistics().merge(
-            {
-                GLOBAL_ARRANGEMENT: make_node_stats(
-                    calls=1,
-                    counters={"arrangement.faces": 100_000},
-                )
-            }
-        )
-        decision = decided(choose_knobs(EngineConfig(), stats), "jobs")
-        import os
-
-        expected = min(4, os.cpu_count() or 1)
-        if expected > 1:
-            assert decision.chosen == str(expected)
-            assert decision.from_stats
-
-    def test_small_arrangements_stay_sequential(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        stats = Statistics().merge(
-            {
-                GLOBAL_ARRANGEMENT: make_node_stats(
-                    calls=1, counters={"arrangement.faces": 10}
-                )
-            }
-        )
-        decision = decided(choose_knobs(EngineConfig(), stats), "jobs")
-        assert decision.chosen == "1"
 
 
 class TestDatalogBodyOrdering:
@@ -371,8 +295,9 @@ class TestExplainAnnotations:
         text = engine.explain(formula).format()
         assert "chosen:" in text
         assert "because:" in text
-        assert "Optimizer: adaptive knobs" in text
-        assert "knob lp_mode" in text
+        assert "Optimizer: rewrites" in text
+        assert "lp_mode=" in text and "executor=" in text
+        assert "knob" not in text
 
     def test_explain_json_carries_decisions(self):
         engine = QueryEngine(
@@ -398,5 +323,6 @@ class TestExplainAnnotations:
         )
         formula = parse_query("exists x. S(x)")
         text = engine.explain(formula).format()
-        assert "Optimizer: adaptive knobs" not in text
+        assert "Optimizer: rewrites" not in text
+        assert "knob" not in text
         assert "optimizer=off" in text

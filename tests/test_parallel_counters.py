@@ -107,7 +107,8 @@ class TestEngineJobsParity:
         from repro.constraints.database import ConstraintDatabase
         from repro.constraints.parser import parse_formula
         from repro.constraints.relation import ConstraintRelation
-        from repro.engine import QueryEngine, invalidate_cache
+        from repro.config import EngineConfig
+        from repro.engine import QueryEngine, default_cache
 
         def fresh_db():
             # Full-support coefficients keep every LP system connected.
@@ -122,10 +123,12 @@ class TestEngineJobsParity:
             })
 
         def run(jobs):
-            invalidate_cache()
+            default_cache().invalidate()
             clear_feasibility_cache()
             reset_all()
-            engine = QueryEngine(fresh_db(), jobs=jobs)
+            engine = QueryEngine(
+                fresh_db(), config=EngineConfig.resolve(jobs=jobs)
+            )
             engine.evaluate("exists x0. exists x1. S(x0, x1)")
             return metrics_snapshot()
 

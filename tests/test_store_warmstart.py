@@ -17,6 +17,7 @@ from repro.arrangement.builder import build_arrangement
 from repro.cli import main
 from repro.constraints.io import parse_formula
 from repro.constraints.relation import ConstraintRelation
+from repro.config import EngineConfig
 from repro.engine import EngineCache, QueryEngine
 from repro.obs.metrics import MetricsRegistry
 from repro.store.disk import DiskStore
@@ -38,7 +39,7 @@ def test_second_engine_hits_disk(tmp_path):
     store = private_store(tmp_path)
     first = QueryEngine(
         database, cache=EngineCache(metrics=MetricsRegistry()),
-        cache_dir=store,
+        config=EngineConfig(cache_dir=store),
     )
     cold = first.evaluate("S(x) & x < 1")
     assert store.stats()["writes"] > 0 and store.stats()["hits"] == 0
@@ -46,7 +47,7 @@ def test_second_engine_hits_disk(tmp_path):
     # Fresh in-memory caches simulate a new process on the same dir.
     second = QueryEngine(
         database, cache=EngineCache(metrics=MetricsRegistry()),
-        cache_dir=store,
+        config=EngineConfig(cache_dir=store),
     )
     warm = second.evaluate("S(x) & x < 1")
     assert str(warm) == str(cold)
