@@ -85,7 +85,7 @@ def test_e16_maintained_arrangement_matches_batch():
         new = new_db.relation("S")
         maintained = arrangements.update(
             old, new, build_old=lambda: build_arrangement(old)
-        )
+        ).arrangement
         batch = build_arrangement(new)
         assert maintained.hyperplanes == batch.hyperplanes
         assert _signature(maintained) == _signature(batch)

@@ -31,8 +31,7 @@ import time
 from typing import Any
 
 from repro.config import EngineConfig
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.telemetry import TelemetryRegistry, bucket_quantile
+from repro.obs.metrics import MetricsRegistry, bucket_quantile
 from repro.server import ConstraintService, ServerThread, run_load
 from repro.server.loadgen import get_json, get_text, percentile
 from repro.workloads.generators import interval_chain
@@ -154,7 +153,6 @@ def run_bench_server(
     cold_service = ConstraintService(
         dict(databases), config,
         max_concurrent=max_concurrent, metrics=MetricsRegistry(),
-        telemetry=TelemetryRegistry(),
     )
     cold = _phase(cold_service, requests, concurrency, passes=1)
 
@@ -163,7 +161,6 @@ def run_bench_server(
     warm_service = ConstraintService(
         dict(databases), config,
         max_concurrent=max_concurrent, metrics=MetricsRegistry(),
-        telemetry=TelemetryRegistry(),
     )
     warm = _phase(warm_service, requests, concurrency, passes=2)
 

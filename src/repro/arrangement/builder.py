@@ -54,14 +54,18 @@ from repro.geometry.hyperplane import Hyperplane
 from repro.geometry.linalg import Vector
 from repro.geometry.simplex import strict_feasible_point
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import TRACER
+from repro.obs.site import Site
 from repro.constraints.relation import ConstraintRelation
 
 #: Sign-vector DFS telemetry: explored search-tree nodes, faces kept,
 #: and LP solves avoided by the fast-path prunings.
 _DFS_NODES = get_registry().counter("arrangement.dfs_nodes")
 _FACES = get_registry().counter("arrangement.faces")
-_BUILDS = get_registry().counter("arrangement.builds")
+#: One finished build: ``arrangement.builds`` plus the sizes on its
+#: ``arrangement.build`` span.
+_BUILD = Site(
+    "arrangement.build", aggregate=False, counters=("arrangement.builds",)
+)
 _LP_SKIPPED = get_registry().counter("arrangement.lp_skipped")
 _DEDUP_HITS = get_registry().counter("arrangement.dedup_hits")
 _SIGN_INDEX_BUILDS = get_registry().counter("arrangement.sign_index_builds")
@@ -416,8 +420,7 @@ def build_arrangement(
     from repro.arrangement.parallel import enumerate_parallel, resolve_jobs
 
     jobs = resolve_jobs(parallel)
-    _BUILDS.inc()
-    with TRACER.span("arrangement.build") as build_span:
+    with _BUILD.timed():
         if jobs > 1 and len(planes) > 1:
             pairs = enumerate_parallel(
                 planes,
@@ -441,9 +444,9 @@ def build_arrangement(
             )
             faces.append(Face(index, signs, dim, witness, inside))
         _FACES.inc(len(faces))
-        build_span.set("hyperplanes", len(planes))
-        build_span.set("faces", len(faces))
-        build_span.set("jobs", jobs)
+        _BUILD(attrs={
+            "hyperplanes": len(planes), "faces": len(faces), "jobs": jobs,
+        })
         arrangement = Arrangement(
             ambient, tuple(planes), tuple(faces), relation
         )

@@ -21,18 +21,20 @@ Knobs:
 When worker processes cannot be created (restricted sandboxes, missing
 semaphores) the build falls back to enumerating the same subtree tasks
 sequentially in the parent and counts the event in
-``arrangement.parallel_fallbacks``.  Workers measure the counter deltas
-their subtree produced (:func:`~repro.obs.metrics.metrics_snapshot`
-before and after — fork-started workers inherit the parent's counter
-*values*, so absolute numbers would double-count) and ship them home
-with the face batch; the parent folds every delta into its registry via
-:func:`~repro.obs.metrics.merge_snapshot`.  Workers likewise export the
-feasibility-memo entries their subtree added and the parent folds them
-into its memo, so the process ends in the same cache state a sequential
-build would have produced.  A parallel build therefore reports the same
-``lp.solves`` / ``arrangement.dfs_nodes`` totals as the sequential
-build of the same arrangement — and downstream evaluation keeps
-matching too, because it warm-starts from the identical memo.  The
+``arrangement.parallel_fallbacks``.  Workers zero their copy of the
+metrics registry before each subtree (fork-started workers inherit the
+parent's values, so absolute numbers would double-count), ship its
+:meth:`~repro.obs.metrics.MetricsRegistry.state` — counters *and*
+histograms such as ``lp.solve_seconds`` — home with the face batch,
+and the parent folds every state in through
+:meth:`~repro.obs.metrics.MetricsRegistry.merge`.  Workers likewise
+export the feasibility-memo entries their subtree added and the parent
+folds them into its memo, so the process ends in the same cache state a
+sequential build would have produced.  A parallel build therefore
+reports the same ``lp.solves`` / ``arrangement.dfs_nodes`` totals and
+histogram counts as the sequential build of the same arrangement — and
+downstream evaluation keeps matching too, because it warm-starts from
+the identical memo.  The
 journal records one ``worker.spawn`` event per build plus one
 ``worker.merge`` event per subtree batch.
 
@@ -53,8 +55,8 @@ from typing import Sequence
 from repro.geometry import fastlp
 from repro.geometry.hyperplane import Hyperplane
 from repro.geometry.linalg import Vector
-from repro.obs.journal import JOURNAL
-from repro.obs.metrics import get_registry, merge_snapshot, metrics_snapshot
+from repro.obs.metrics import get_registry
+from repro.obs.site import Site
 
 from repro.arrangement.faces import SignVector
 
@@ -63,6 +65,9 @@ _PARALLEL_SUBTREES = get_registry().counter("arrangement.parallel_subtrees")
 _PARALLEL_FALLBACKS = get_registry().counter(
     "arrangement.parallel_fallbacks"
 )
+#: Journal records of a build's fan-out and of each batch folded home.
+_SPAWN = Site(journal="worker.spawn")
+_MERGE = Site(journal="worker.merge")
 
 
 def resolve_jobs(parallel: int | None) -> int:
@@ -86,16 +91,17 @@ def _subtree_worker(
         tuple[Hyperplane, ...], SignVector, Vector, int, bool, bool, str
     ],
 ) -> tuple[
-    list[tuple[SignVector, Vector]], dict[str, int], dict
+    list[tuple[SignVector, Vector]], dict, dict
 ]:
     """Enumerate one sign-vector subtree (runs in a worker process).
 
-    Returns the subtree's faces, the counter *deltas* the enumeration
-    produced in this process, and the feasibility-memo entries it added.
-    Deltas, not absolute values: fork-started workers inherit the
-    parent's counter state, so only the before/after difference is the
-    subtree's own work — and likewise only memo entries beyond the
-    inherited key set are the subtree's own solves.
+    Returns the subtree's faces, the counters and histograms the
+    enumeration recorded in this process, and the feasibility-memo
+    entries it added.  The registry is zeroed first: fork-started
+    workers inherit the parent's values, so only what accrues after the
+    reset is the subtree's own work — and likewise only memo entries
+    beyond the inherited key set are the subtree's own solves.  Gauges
+    are this process's levels, not work, so they stay home.
     """
     (
         hyperplanes,
@@ -116,7 +122,8 @@ def _subtree_worker(
     # environment) at submit time; pin the worker to the same tier so
     # spawn-based pools behave like fork-based ones.
     fastlp.set_lp_mode(lp_mode)
-    before = metrics_snapshot()
+    registry = get_registry()
+    registry.reset()
     inherited = snapshot_feasibility_keys()
     pairs = list(
         enumerate_sign_vectors(
@@ -128,13 +135,9 @@ def _subtree_worker(
             prefix_witness=witness,
         )
     )
-    after = metrics_snapshot()
-    deltas = {
-        name: value - before.get(name, 0)
-        for name, value in after.items()
-        if value - before.get(name, 0)
-    }
-    return pairs, deltas, export_feasibility_entries(inherited)
+    work = registry.state()
+    del work["gauges"]
+    return pairs, work, export_feasibility_entries(inherited)
 
 
 def _split_depth(n_planes: int, jobs: int) -> int:
@@ -175,8 +178,7 @@ def enumerate_parallel(
         (planes, signs, witness, dimension, witness_reuse, dedup, active_mode)
         for signs, witness in prefixes
     ]
-    if JOURNAL.enabled:
-        JOURNAL.emit("worker.spawn", jobs=jobs, subtrees=len(tasks))
+    _SPAWN(jobs=jobs, subtrees=len(tasks))
     try:
         import concurrent.futures
 
@@ -207,15 +209,10 @@ def enumerate_parallel(
     _PARALLEL_BUILDS.inc()
     _PARALLEL_SUBTREES.inc(len(tasks))
     results = []
-    for index, (pairs, counters, memo_entries) in enumerate(chunks):
-        merge_snapshot(counters)
+    registry = get_registry()
+    for index, (pairs, work, memo_entries) in enumerate(chunks):
+        registry.merge(work)
         merge_feasibility_entries(memo_entries)
-        if JOURNAL.enabled:
-            JOURNAL.emit(
-                "worker.merge",
-                worker=index,
-                faces=len(pairs),
-                counters=counters,
-            )
+        _MERGE(worker=index, faces=len(pairs), counters=work["counters"])
         results.extend(pairs)
     return results

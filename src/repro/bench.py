@@ -45,12 +45,12 @@ import json
 import pathlib
 import platform
 import time
-from contextlib import contextmanager
 from datetime import datetime, timezone
 from typing import Sequence
 
 from repro.geometry import fastlp
 from repro.obs.metrics import get_registry
+from repro.store import pin_store
 
 
 def _timed(function, *args, **kwargs):
@@ -494,30 +494,6 @@ _E14_QUERIES = (
 )
 
 
-@contextmanager
-def _no_store():
-    """Suppress disk persistence for the E14 timed rows.
-
-    The optimizer-on and optimizer-off result-cache keys differ (the
-    key hashes the rewritten plan), so a warm store would hand one side
-    a cache hit and the other an evaluation — the timings must compare
-    plans, not cache states.  Clears both the context override and the
-    ``REPRO_CACHE_DIR`` fallback, restoring them afterwards.
-    """
-    import os
-
-    from repro.store import ENV_CACHE_DIR, configure_store
-
-    saved_env = os.environ.pop(ENV_CACHE_DIR, None)
-    previous = configure_store(None)
-    try:
-        yield
-    finally:
-        if saved_env is not None:
-            os.environ[ENV_CACHE_DIR] = saved_env
-        configure_store(previous)
-
-
 def run_bench_e14(
     sizes: Sequence[int] = (6, 10),
     check_only: bool = False,
@@ -549,7 +525,9 @@ def run_bench_e14(
 
     registry = get_registry()
     results = []
-    with _no_store():
+    # No store for the timed rows: the optimizer-on and -off result keys
+    # differ, so a warm store would time cache states, not plans.
+    with pin_store(None):
         for k in sizes:
             database = interval_chain(k)
             for name, text in _E14_QUERIES:
@@ -720,9 +698,8 @@ def run_bench_e16(
         "Reach(x) :- S(x), x = 0.\n"
         "Reach(y) :- Reach(x), S(y), y - x <= 1, x - y <= 1.\n"
     )
-    registry = get_registry()
     results = []
-    with _no_store():
+    with pin_store(None):
         for update in sizes:
             base = interval_chain(chain_k)
             max_stages = 4 * (chain_k + update) + 8
@@ -749,21 +726,18 @@ def run_bench_e16(
             new_spatial = new_db.relation("S")
 
             clear_feasibility_cache()
-            inserted_before = registry.get("incremental.planes_inserted")
 
             def maintain():
-                arrangement = arrangements.update(
+                planes = arrangements.update(
                     old_spatial,
                     new_spatial,
                     build_old=lambda: build_arrangement(old_spatial),
                 )
-                return arrangement, maintained.apply(new_db)
+                return planes, maintained.apply(new_db)
 
-            (fast_arr, fast_outcome), fast_s = _timed(maintain)
-            planes_inserted = (
-                registry.get("incremental.planes_inserted")
-                - inserted_before
-            )
+            (planes, fast_outcome), fast_s = _timed(maintain)
+            fast_arr = planes.arrangement
+            planes_inserted = planes.inserted
 
             clear_feasibility_cache()
 

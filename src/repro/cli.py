@@ -52,7 +52,7 @@ from repro.logic.properties import (
     coordinate_bound,
     has_small_coordinate_property,
 )
-from repro.obs import JOURNAL, TRACER, get_registry, reset_all
+from repro.obs import JOURNAL, TRACER, Site, get_registry, reset_all
 from repro.obs.journal import ENV_JOURNAL
 from repro.store import store_scope
 from repro.twosorted.structure import RegionExtension
@@ -904,7 +904,7 @@ def _cmd_metrics(args: argparse.Namespace, out) -> int:
     arrangement histograms.  Without arguments the dump shows an idle
     (empty) process — useful to check the exposition pipeline itself.
     """
-    from repro.obs.telemetry import get_telemetry, render_prometheus
+    from repro.obs.telemetry import render_prometheus
 
     if args.text is not None and args.database is None:
         print("error: a query needs a database", file=out)
@@ -925,11 +925,7 @@ def _cmd_metrics(args: argparse.Namespace, out) -> int:
                 )
                 return 2
             engine.evaluate(formula)
-    print(
-        render_prometheus(get_registry().snapshot(), get_telemetry()),
-        file=out,
-        end="",
-    )
+    print(render_prometheus(get_registry()), file=out, end="")
     return 0
 
 
@@ -1055,6 +1051,9 @@ _SELF_TRACING = ("profile", "explain", "serve")
 #: (``GET /v1/stats``): ``main`` must NOT wipe observability for these.
 _LONG_RUNNING = ("serve",)
 
+#: The journal's first record: which command the run is.
+_META = Site(journal="meta")
+
 
 def main(argv: Sequence[str] | None = None, out=None) -> int:
     """Entry point; returns the process exit code.
@@ -1082,7 +1081,7 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     )
     if journal_path is not None:
         JOURNAL.start(journal_path)
-        JOURNAL.emit("meta", command=args.command)
+        _META(command=args.command)
     tracing = getattr(args, "trace", False)
     want_trace = tracing or (
         journal_path is not None and args.command not in _SELF_TRACING

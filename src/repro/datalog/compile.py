@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from repro.errors import EvaluationError
 from repro.constraints.database import ConstraintDatabase
 from repro.constraints.relation import ConstraintRelation
-from repro.obs.journal import JOURNAL
 from repro.obs.metrics import get_registry
 from repro.obs.tracing import TRACER
 
@@ -44,11 +43,11 @@ from repro.datalog.engine import (
     Program,
     Rule,
     _DATALOG_RUNS,
-    _DATALOG_STAGES,
 )
 from repro.datalog.seminaive import (
     _DELTA_DISJUNCTS,
     _SEMINAIVE_RUNS,
+    _record_stage,
     _recursive_positions,
 )
 from repro.ir import nodes as ir
@@ -333,23 +332,12 @@ def evaluate_program_compiled(
                     converged_now = all(
                         fresh.is_empty() for fresh in new_delta.values()
                     )
-                    if JOURNAL.enabled:
-                        JOURNAL.emit(
-                            "datalog.stage",
-                            strategy="seminaive",
-                            executor="compiled",
-                            stage=stage,
-                            deltas={
-                                predicate: len(
-                                    new_delta[predicate].disjuncts()
-                                )
-                                for predicate in stratum
-                            },
-                        )
+                    _record_stage(
+                        "compiled", stage, new_delta, stratum, converged_now
+                    )
                 if converged_now:
                     break
                 total_stages += 1
-                _DATALOG_STAGES.inc()
             else:
                 run_span.set("stages", total_stages)
                 return EvaluationOutcome(idb, total_stages, False, sizes)

@@ -32,8 +32,8 @@ from repro.constraints.relation import (
     ConstraintRelation,
     union_relations,
 )
-from repro.obs.journal import JOURNAL
 from repro.obs.metrics import get_registry
+from repro.obs.site import Site
 from repro.obs.tracing import TRACER
 
 from repro.datalog.engine import (
@@ -41,12 +41,39 @@ from repro.datalog.engine import (
     Program,
     Rule,
     _DATALOG_RUNS,
-    _DATALOG_STAGES,
     _rule_once,
 )
 
 _SEMINAIVE_RUNS = get_registry().counter("datalog.seminaive_runs")
 _DELTA_DISJUNCTS = get_registry().counter("datalog.delta_disjuncts")
+#: One semi-naive stage (either executor): ``datalog.stages`` counts the
+#: stages that changed something — the converging stage adds 0 — and the
+#: journal records the per-predicate delta disjunct counts.
+_STAGE = Site(
+    counters=("datalog.stages",), journal="datalog.stage",
+    strategy="seminaive",
+)
+
+
+def _record_stage(
+    executor: str,
+    stage: int,
+    new_delta: dict[str, ConstraintRelation],
+    stratum: tuple[str, ...],
+    converged: bool,
+) -> None:
+    """One ``_STAGE`` event; the per-predicate delta sizes are only
+    counted while the journal is on."""
+    deltas = None
+    if _STAGE.journaling:
+        deltas = {
+            predicate: len(new_delta[predicate].disjuncts())
+            for predicate in stratum
+        }
+    _STAGE(
+        amount=0 if converged else 1,
+        executor=executor, stage=stage, deltas=deltas,
+    )
 
 
 def _recursive_positions(rule: Rule, members: set[str]) -> list[int]:
@@ -166,23 +193,12 @@ def evaluate_program_seminaive(
                     converged_now = all(
                         fresh.is_empty() for fresh in new_delta.values()
                     )
-                    if JOURNAL.enabled:
-                        JOURNAL.emit(
-                            "datalog.stage",
-                            strategy="seminaive",
-                            executor="interpreted",
-                            stage=stage,
-                            deltas={
-                                predicate: len(
-                                    new_delta[predicate].disjuncts()
-                                )
-                                for predicate in stratum
-                            },
-                        )
+                    _record_stage(
+                        "interpreted", stage, new_delta, stratum, converged_now
+                    )
                 if converged_now:
                     break
                 total_stages += 1
-                _DATALOG_STAGES.inc()
             else:
                 run_span.set("stages", total_stages)
                 return EvaluationOutcome(idb, total_stages, False, sizes)

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -43,10 +42,8 @@ from repro.geometry import fastlp
 from repro.geometry.hyperplane import Hyperplane
 from repro.logic import ast
 from repro.logic.evaluator import Evaluator
-from repro.obs.journal import JOURNAL
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.telemetry import get_telemetry
-from repro.obs.tracing import TRACER
+from repro.obs.site import Site
 from repro.twosorted.structure import RegionExtension
 from repro import store as store_pkg
 from repro.store.disk import DiskStore
@@ -115,16 +112,13 @@ class EngineCache:
         self._extensions: OrderedDict[tuple, RegionExtension] = OrderedDict()
         self._arrangements: OrderedDict[tuple, Arrangement] = OrderedDict()
         self._lock = threading.Lock()
-        #: In-flight builds, keyed by ("arrangement"|"extension", key);
-        #: followers wait on the event, then re-check the map.
+        #: In-flight builds, keyed by (family site, key); followers
+        #: wait on the event, then re-check the map.
         self._inflight: dict[tuple, threading.Event] = {}
         registry = metrics if metrics is not None else get_registry()
-        self._c_ext_hits = registry.counter("engine.cache.extension.hits")
-        self._c_ext_misses = registry.counter("engine.cache.extension.misses")
-        self._c_arr_hits = registry.counter("engine.cache.arrangement.hits")
-        self._c_arr_misses = registry.counter(
-            "engine.cache.arrangement.misses"
-        )
+        self._registry = registry
+        self._arrangement_site = self._family_site("arrangement")
+        self._extension_site = self._family_site("extension")
         self._c_invalidations = registry.counter(
             "engine.cache.invalidations"
         )
@@ -135,14 +129,29 @@ class EngineCache:
     # ------------------------------------------------------------------
     # Single-flight plumbing
     # ------------------------------------------------------------------
-    def _get_or_build(self, family: str, table, key, hit, miss, build):
+    def _family_site(self, family: str) -> Site:
+        """Hits and misses of one family; misses time the build."""
+        return Site(
+            registry=self._registry,
+            outcomes={
+                "hit": (
+                    (f"engine.cache.{family}.hits",), f"{family}_cache_hits"
+                ),
+                "miss": ((f"engine.cache.{family}.misses",), None),
+            },
+            histogram=f"engine.{family}_build_seconds",
+            journal="cache", layer="engine", kind=family,
+        )
+
+    def _get_or_build(self, site: Site, table, key, build):
         """Look ``key`` up in ``table`` with single-flight misses.
 
-        ``hit``/``miss`` record counters and journal events; ``build``
-        produces the value (called without the lock held, by exactly
-        one thread per in-flight key).
+        ``site`` records the hit or miss (counter, span attribute,
+        journal record) and the build latency; ``build`` produces the
+        value (called without the lock held, by exactly one thread per
+        in-flight key).
         """
-        flight_key = (family, key)
+        flight_key = (site, key)
         while True:
             with self._lock:
                 cached = table.get(key)
@@ -155,23 +164,19 @@ class EngineCache:
                         self._inflight[flight_key] = threading.Event()
                         break  # this thread builds
             if cached is not None:
-                hit()
+                site("hit", key=key[0][:12])
                 return cached
             # Another thread is building this key: wait, then re-check.
             self._c_coalesced.inc()
             event.wait()
-        miss()
+        site("miss", key=key[0][:12])
         try:
-            started = time.perf_counter()
-            value = build()
-            elapsed = time.perf_counter() - started
+            with site.timed():
+                value = build()
             with self._lock:
                 table[key] = value
                 while len(table) > self.capacity:
                     table.popitem(last=False)
-            get_telemetry().histogram(
-                f"engine.{family}_build_seconds"
-            ).observe(elapsed)
         finally:
             with self._lock:
                 event = self._inflight.pop(flight_key)
@@ -205,23 +210,6 @@ class EngineCache:
         )
         key = (relation_fingerprint(relation), extra_key)
 
-        def hit() -> None:
-            self._c_arr_hits.inc()
-            TRACER.current().add("arrangement_cache_hits", 1)
-            if JOURNAL.enabled:
-                JOURNAL.emit(
-                    "cache", layer="engine", kind="arrangement",
-                    outcome="hit", key=key[0][:12],
-                )
-
-        def miss() -> None:
-            self._c_arr_misses.inc()
-            if JOURNAL.enabled:
-                JOURNAL.emit(
-                    "cache", layer="engine", kind="arrangement",
-                    outcome="miss", key=key[0][:12],
-                )
-
         def build() -> Arrangement:
             return build_arrangement(
                 relation,
@@ -231,7 +219,7 @@ class EngineCache:
             )
 
         return self._get_or_build(
-            "arrangement", self._arrangements, key, hit, miss, build
+            self._arrangement_site, self._arrangements, key, build
         )
 
     # ------------------------------------------------------------------
@@ -250,22 +238,6 @@ class EngineCache:
             decomposition,
             spatial_name,
         )
-        def hit() -> None:
-            self._c_ext_hits.inc()
-            TRACER.current().add("extension_cache_hits", 1)
-            if JOURNAL.enabled:
-                JOURNAL.emit(
-                    "cache", layer="engine", kind="extension",
-                    outcome="hit", key=key[0][:12],
-                )
-
-        def miss() -> None:
-            self._c_ext_misses.inc()
-            if JOURNAL.enabled:
-                JOURNAL.emit(
-                    "cache", layer="engine", kind="extension",
-                    outcome="miss", key=key[0][:12],
-                )
 
         def factory(relation, extra_hyperplanes):
             return self.arrangement(relation, extra_hyperplanes, jobs=jobs)
@@ -279,7 +251,7 @@ class EngineCache:
             )
 
         return self._get_or_build(
-            "extension", self._extensions, key, hit, miss, build
+            self._extension_site, self._extensions, key, build
         )
 
     def seed_arrangement(
@@ -399,11 +371,15 @@ class EngineCache:
         with self._lock:
             extensions = len(self._extensions)
             arrangements = len(self._arrangements)
+        outcomes = {
+            f"{family}_{kind}": self._registry.get(
+                f"engine.cache.{family}.{kind}"
+            )
+            for family in ("extension", "arrangement")
+            for kind in ("hits", "misses")
+        }
         return {
-            "extension_hits": self._c_ext_hits.value,
-            "extension_misses": self._c_ext_misses.value,
-            "arrangement_hits": self._c_arr_hits.value,
-            "arrangement_misses": self._c_arr_misses.value,
+            **outcomes,
             "invalidations": self._c_invalidations.value,
             "singleflight_coalesced": self._c_coalesced.value,
             "extensions_cached": extensions,
@@ -508,7 +484,23 @@ class QueryEngine:
         #: Lazily created per-engine arrangement maintenance state
         #: (:class:`repro.incremental.MaintainedArrangements`).
         self._maintained = None
-        self._c_deltas = registry.counter("engine.deltas_applied")
+        labels = None
+        if self.config.metrics_labels == "on":
+            labels = {
+                "executor": self.config.executor,
+                "lp_mode": self.config.lp_mode,
+            }
+        # One histogram observe per query or write — negligible against
+        # evaluation cost (docs/OBSERVABILITY.md's overhead contract).
+        self._evaluate_site = Site(
+            "evaluate", aggregate=False,
+            histogram="engine.evaluate_seconds", labels=labels,
+        )
+        self._apply_site = Site(
+            "apply_delta", aggregate=False,
+            histogram="engine.apply_delta_seconds", labels=labels,
+            counters=("engine.deltas_applied",), journal="delta.applied",
+        )
 
     # ------------------------------------------------------------------
     # Lazily resolved backends
@@ -524,7 +516,7 @@ class QueryEngine:
 
     def _store_scope(self):
         """A context pinning this engine's store for nested builds."""
-        return store_pkg.store_scope(self._store())
+        return store_pkg.pin_store(self._store())
 
     # ------------------------------------------------------------------
     # Cost-based optimizer (statistics, rewrites)
@@ -699,40 +691,20 @@ class QueryEngine:
                 self._remember(key, loaded)
                 return loaded
         profiler = self._install_collector(disk)
-        started = time.perf_counter()
         try:
-            with TRACER.span("evaluate"), \
+            with self._evaluate_site.timed(), \
                     fastlp.lp_mode(self.config.lp_mode), \
                     self._store_scope():
                 answer = self.evaluator.evaluate(formula)
         finally:
             if profiler is not None:
                 self.evaluator.profiler = None
-        self._observe_latency(
-            "engine.evaluate_seconds", time.perf_counter() - started
-        )
         if profiler is not None:
             self._record_statistics(formula, profiler)
         if disk is not None and key is not None:
             disk.save("relation", key, answer)
             self._remember(key, answer)
         return answer
-
-    def _observe_latency(self, name: str, seconds: float) -> None:
-        """Record a latency observation, labeled by executor/lp_mode.
-
-        Labels honour the ``metrics_labels`` knob; with labels off the
-        family keeps one aggregate series.  One histogram observe per
-        query — negligible against evaluation cost (measured in
-        docs/OBSERVABILITY.md's overhead contract).
-        """
-        labels = None
-        if self.config.metrics_labels == "on":
-            labels = {
-                "executor": self.config.executor,
-                "lp_mode": self.config.lp_mode,
-            }
-        get_telemetry().histogram(name, labels).observe(seconds)
 
     def _install_collector(self, disk):
         """A statistics-collecting profiler, when one can be useful.
@@ -829,14 +801,11 @@ class QueryEngine:
         child_db = inc.apply_delta(parent_db, delta)
         child_print = database_fingerprint(child_db)
         changed = delta.relations()
-        registry = get_registry()
-        inserted_before = registry.get("incremental.planes_inserted")
-        retracted_before = registry.get("incremental.planes_retracted")
         disk = self._store()
         if self._maintained is None:
             self._maintained = inc.MaintainedArrangements()
-        delta_started = time.perf_counter()
-        with TRACER.span("apply_delta"), \
+        inserted = retracted = 0
+        with self._apply_site.timed(), \
                 fastlp.lp_mode(self.config.lp_mode), \
                 self._store_scope():
             for name in changed:
@@ -844,61 +813,45 @@ class QueryEngine:
                 new_rel = child_db.relation(name)
                 if old_rel.formula == new_rel.formula:
                     continue
-                arrangement = self._maintained.update(
+                maintained = self._maintained.update(
                     old_rel,
                     new_rel,
                     build_old=lambda rel=old_rel: self.cache.arrangement(
                         rel, jobs=self.config.jobs
                     ),
                 )
+                inserted += maintained.inserted
+                retracted += maintained.retracted
                 self.cache.seed_arrangement(
-                    new_rel, arrangement, store=disk
+                    new_rel, maintained.arrangement, store=disk
                 )
-        self._observe_latency(
-            "engine.apply_delta_seconds",
-            time.perf_counter() - delta_started,
-        )
         lineage_seq: "int | None" = None
         compacted = False
         if disk is not None:
-            compactions_before = registry.get(
-                "incremental.lineage_compactions"
-            )
-            record = inc.LineageLog(disk).record(parent_db, child_db, delta)
-            lineage_seq = record.seq
-            compacted = (
-                registry.get("incremental.lineage_compactions")
-                > compactions_before
-            )
+            written = inc.LineageLog(disk).record(parent_db, child_db, delta)
+            lineage_seq = written.record.seq
+            compacted = written.compacted
         self.database = child_db
         self._extension = None
         self._evaluator = None
-        self._c_deltas.inc()
         report = DeltaReport(
             parent=parent_print,
             child=child_print,
             operations=len(delta),
             relations_changed=changed,
-            planes_inserted=(
-                registry.get("incremental.planes_inserted") - inserted_before
-            ),
-            planes_retracted=(
-                registry.get("incremental.planes_retracted")
-                - retracted_before
-            ),
+            planes_inserted=inserted,
+            planes_retracted=retracted,
             lineage_seq=lineage_seq,
             compacted=compacted,
         )
-        if JOURNAL.enabled:
-            JOURNAL.emit(
-                "delta.applied",
-                parent=parent_print[:12],
-                child=child_print[:12],
-                operations=report.operations,
-                relations=",".join(changed),
-                planes_inserted=report.planes_inserted,
-                planes_retracted=report.planes_retracted,
-            )
+        self._apply_site(
+            parent=parent_print[:12],
+            child=child_print[:12],
+            operations=report.operations,
+            relations=",".join(changed),
+            planes_inserted=inserted,
+            planes_retracted=retracted,
+        )
         return report
 
     # ------------------------------------------------------------------

@@ -50,7 +50,7 @@ from typing import Callable, Iterator, Sequence
 from repro.geometry.fourier_motzkin import LinearConstraint, Rel
 from repro.geometry.linalg import Vector, affine_parametrization, vec_dot
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import TRACER
+from repro.obs.site import Site
 
 try:  # pragma: no cover - exercised indirectly on hosts with numpy
     import numpy as _np
@@ -62,12 +62,18 @@ ZERO = Fraction(0)
 LP_MODES = ("exact", "filtered")
 
 #: Filter telemetry (process-wide registry, see docs/OBSERVABILITY.md):
-#: systems decided by the certified float tier, systems handed to the
-#: exact solver, and float verdicts that failed exact certification
-#: (always a subset of the fallbacks — a failed certificate never
-#: produces an answer).
-_FILTER_HITS = get_registry().counter("lp.filter_hits")
-_FILTER_FALLBACKS = get_registry().counter("lp.filter_fallbacks")
+#: each attempt is one event on the aggregate ``lp.filter`` span, ending
+#: as a hit (decided by the certified float tier) or a fallback (handed
+#: to the exact solver).  Float verdicts that failed exact certification
+#: are always a subset of the fallbacks — a failed certificate never
+#: produces an answer.
+_FILTER = Site(
+    "lp.filter",
+    outcomes={
+        "hit": (("lp.filter_hits",), None),
+        "fallback": (("lp.filter_fallbacks",), None),
+    },
+)
 _CERTIFY_FAILURES = get_registry().counter("lp.certify_failures")
 
 
@@ -173,16 +179,9 @@ def try_certified(
     direction).  ``(False, None)`` means the caller must run the exact
     solver; the filter counters are maintained here either way.
     """
-    if TRACER.enabled:
-        with TRACER.span("lp.filter", aggregate=True) as filter_span:
-            filter_span.add("rows", len(constraints))
-            decided, point = _try_certified(constraints, dim, exact_oracle)
-    else:
+    with _FILTER.timed(rows=len(constraints)):
         decided, point = _try_certified(constraints, dim, exact_oracle)
-    if decided:
-        _FILTER_HITS.inc()
-    else:
-        _FILTER_FALLBACKS.inc()
+    _FILTER("hit" if decided else "fallback")
     return decided, point
 
 

@@ -20,14 +20,18 @@ from typing import Iterable, Sequence
 from repro.errors import DimensionMismatchError
 from repro.geometry.linalg import Vector, as_fraction, vec_dot
 from repro.obs.metrics import get_registry
+from repro.obs.site import Site
 from repro.obs.tracing import TRACER
 
 ZERO = Fraction(0)
 
 #: Elimination telemetry (Giusti–Heintz-style phase accounting): how many
 #: variables were projected away and how many rows the combinations made.
+#: Generated rows also accumulate on the current span as ``fm.generated``.
 _FM_ELIMINATED = get_registry().counter("fm.eliminated_variables")
-_FM_GENERATED = get_registry().counter("fm.generated_constraints")
+_FM_GENERATED = Site(
+    counters=("fm.generated_constraints",), attr="fm.generated"
+)
 
 
 class Rel(enum.Enum):
@@ -199,7 +203,7 @@ def eliminate_variable(
             for c in constraints
             if c is not pivot
         ]
-        _FM_GENERATED.inc(len(rewritten))
+        _FM_GENERATED(amount=len(rewritten))
         return rewritten
     _FM_ELIMINATED.inc()
 
@@ -233,10 +237,7 @@ def eliminate_variable(
             rel = Rel.LT if (low.rel is Rel.LT or high.rel is Rel.LT) else Rel.LE
             combined.append(LinearConstraint(coeffs, rel, rhs))
 
-    _FM_GENERATED.inc(len(combined))
-    if TRACER.enabled:
-        fm_span = TRACER.current()
-        fm_span.add("fm.generated", len(combined))
+    _FM_GENERATED(amount=len(combined))
     result = unrelated + combined
     return [_zero_out(c, index) for c in result]
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from time import perf_counter
 from typing import Sequence
 
 from repro.errors import LPError
@@ -26,7 +25,7 @@ from repro.geometry import fastlp
 from repro.geometry.fourier_motzkin import LinearConstraint, Rel
 from repro.geometry.linalg import Vector, as_fraction
 from repro.obs.metrics import get_registry
-from repro.obs.telemetry import get_telemetry
+from repro.obs.site import Site
 from repro.obs.tracing import TRACER
 
 ZERO = Fraction(0)
@@ -317,16 +316,9 @@ def _solve_component(
     if cached is not _MISS:
         _LP_CACHE_HITS.inc()
         return cached
-    _LP_SOLVES.inc()
-    started = perf_counter()
-    try:
-        if TRACER.enabled:
-            with TRACER.span("lp.feasible", aggregate=True) as lp_span:
-                lp_span.add("rows", len(constraints))
-                return _solve_component_inner(constraints, dim)
+    with _SOLVE.timed(rows=len(constraints)):
+        _SOLVE()
         return _solve_component_inner(constraints, dim)
-    finally:
-        _LP_SOLVE_SECONDS.observe(perf_counter() - started)
 
 
 def _solve_component_inner(
@@ -391,16 +383,15 @@ _MISS = object()
 _FEASIBILITY_CACHE: dict[tuple, Vector | None] = {}
 _CACHE_LIMIT = 200_000
 
-#: Instrumentation counters, owned by the process-wide metrics registry
-#: (:mod:`repro.obs.metrics`).  Bound once: ``inc`` on the hot path is a
-#: plain attribute add.
-_LP_SOLVES = get_registry().counter("lp.solves")
+#: One site per uncached feasibility solve: the ``lp.solves`` counter,
+#: the aggregate ``lp.feasible`` span (with its row count) and the
+#: ``lp.solve_seconds`` latency histogram — one lock + a short bucket
+#: scan, measured against BENCH_E2 in docs/OBSERVABILITY.md's overhead
+#: contract.  Memo hits only count.
+_SOLVE = Site(
+    "lp.feasible", counters=("lp.solves",), histogram="lp.solve_seconds"
+)
 _LP_CACHE_HITS = get_registry().counter("lp.cache_hits")
-
-#: Latency distribution of uncached feasibility solves.  Bound once like
-#: the counters; ``observe`` is one lock + a short bucket scan, measured
-#: against BENCH_E2 in docs/OBSERVABILITY.md's overhead contract.
-_LP_SOLVE_SECONDS = get_telemetry().histogram("lp.solve_seconds")
 
 
 def clear_feasibility_cache() -> None:

@@ -16,6 +16,8 @@ witness points are path-dependent, see the module docstring of
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.arrangement.builder import Arrangement
 from repro.arrangement.hyperplanes import hyperplanes_of_relation
 from repro.arrangement.incremental import IncrementalArrangement
@@ -25,6 +27,19 @@ from repro.obs.metrics import get_registry
 _MAINTAINED = get_registry().counter("incremental.arrangements_maintained")
 _PLANES_INSERTED = get_registry().counter("incremental.planes_inserted")
 _PLANES_RETRACTED = get_registry().counter("incremental.planes_retracted")
+
+
+class Maintained(NamedTuple):
+    """One update's result: the new arrangement and its plane diff.
+
+    The counts are this update's own; the ``incremental.planes_*``
+    counters are process-wide telemetry, so concurrent engines never
+    read each other's work from them.
+    """
+
+    arrangement: Arrangement
+    inserted: int
+    retracted: int
 
 
 class MaintainedArrangements:
@@ -51,7 +66,7 @@ class MaintainedArrangements:
         old_relation: ConstraintRelation,
         new_relation: ConstraintRelation,
         build_old,
-    ) -> Arrangement:
+    ) -> Maintained:
         """The new relation's arrangement, by delta from the old one.
 
         ``build_old`` supplies the old arrangement on a cold start (a
@@ -67,14 +82,19 @@ class MaintainedArrangements:
         old_planes = set(incremental.hyperplanes)
         new_planes = hyperplanes_of_relation(new_relation)
         wanted = set(new_planes)
-        for plane in [p for p in incremental.hyperplanes if p not in wanted]:
+        retracted = [p for p in incremental.hyperplanes if p not in wanted]
+        for plane in retracted:
             incremental.retract(plane)
             _PLANES_RETRACTED.inc()
-        for plane in new_planes:
-            if plane not in old_planes:
-                incremental.insert(plane)
-                _PLANES_INSERTED.inc()
+        inserted = [p for p in new_planes if p not in old_planes]
+        for plane in inserted:
+            incremental.insert(plane)
+            _PLANES_INSERTED.inc()
         incremental.reorder(new_planes)
         self._state[new_relation.fingerprint()] = incremental
         _MAINTAINED.inc()
-        return incremental.to_arrangement(new_relation)
+        return Maintained(
+            incremental.to_arrangement(new_relation),
+            len(inserted),
+            len(retracted),
+        )

@@ -19,21 +19,35 @@ database.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from repro.errors import DeltaError
 from repro.constraints.database import ConstraintDatabase
-from repro.obs.journal import JOURNAL
 from repro.obs.metrics import get_registry
+from repro.obs.site import Site
 from repro.store import lineage_key
 from repro.store.disk import DiskStore
 from repro.store.lineage import LineageRecord
 
 from repro.incremental.delta import Delta, DeltaOp, apply_delta
 
-_RECORDS = get_registry().counter("incremental.lineage_records")
+#: One saved record: ``incremental.lineage_records`` plus a
+#: ``lineage.record`` journal event.
+_RECORD = Site(
+    counters=("incremental.lineage_records",), journal="lineage.record"
+)
 _COMPACTIONS = get_registry().counter("incremental.lineage_compactions")
 
 #: Default chain length before compacting back to a snapshot.
 DEFAULT_COMPACT_EVERY = 8
+
+
+class Recorded(NamedTuple):
+    """What :meth:`LineageLog.record` did: the child's record, and
+    whether this call compacted the chain back to a snapshot."""
+
+    record: LineageRecord
+    compacted: bool
 
 
 def _fingerprint(database: ConstraintDatabase) -> str:
@@ -60,15 +74,12 @@ class LineageLog:
     # ------------------------------------------------------------------
     def _save(self, record: LineageRecord) -> None:
         self.store.save("lineage", lineage_key(record.child), record)
-        _RECORDS.inc()
-        if JOURNAL.enabled:
-            JOURNAL.emit(
-                "lineage.record",
-                child=record.child[:12],
-                parent=record.parent[:12],
-                seq=record.seq,
-                snapshot=record.is_snapshot,
-            )
+        _RECORD(
+            child=record.child[:12],
+            parent=record.parent[:12],
+            seq=record.seq,
+            snapshot=record.is_snapshot,
+        )
 
     def _snapshot(self, database: ConstraintDatabase) -> LineageRecord:
         return LineageRecord(
@@ -84,7 +95,7 @@ class LineageLog:
         parent: ConstraintDatabase,
         child: ConstraintDatabase,
         delta: Delta,
-    ) -> LineageRecord:
+    ) -> Recorded:
         """Persist the edge ``parent → child``; returns the record.
 
         Roots the chain (snapshotting an unrecorded parent) and
@@ -100,7 +111,7 @@ class LineageLog:
             # round trips and keeps the chain acyclic — recording a
             # delta edge back to an ancestor would otherwise make
             # replay loop.
-            return existing
+            return Recorded(existing, False)
         parent_print = _fingerprint(parent)
         parent_record = self.load(parent_print)
         if parent_record is None:
@@ -109,7 +120,8 @@ class LineageLog:
         else:
             parent_seq = parent_record.seq
         seq = parent_seq + 1
-        if seq >= self.compact_every:
+        compacted = seq >= self.compact_every
+        if compacted:
             record = self._snapshot(child)
             _COMPACTIONS.inc()
         else:
@@ -123,7 +135,7 @@ class LineageLog:
                 ),
             )
         self._save(record)
-        return record
+        return Recorded(record, compacted)
 
     # ------------------------------------------------------------------
     # Reading

@@ -33,8 +33,8 @@ from typing import Mapping
 from repro.errors import EvaluationError, UnboundVariableError
 from repro.constraints.formula import FALSE, TRUE
 from repro.constraints.relation import ConstraintRelation
-from repro.obs.journal import JOURNAL
 from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.site import Site
 from repro.obs.tracing import TRACER
 from repro.twosorted.structure import RegionExtension
 from repro.logic import ast
@@ -53,6 +53,10 @@ from repro.logic.transitive_closure import (
 
 RegionEnv = dict[str, int]
 SetEnv = dict[str, frozenset[tuple[int, ...]]]
+
+#: One stage of a region fixpoint induction (journal only: the stage
+#: count itself is recorded once the induction finishes).
+_FIXPOINT_STAGE = Site(journal="fixpoint.stage")
 
 
 def _true_relation() -> ConstraintRelation:
@@ -141,7 +145,12 @@ class Evaluator:
         )
         self._c_evaluations = self.metrics.counter("evaluations")
         self._c_memo_hits = self.metrics.counter("memo_hits")
-        self._c_fixpoint_stages = self.metrics.counter("fixpoint_stages")
+        #: One induction: the aggregate ``eval.fixpoint`` span, and its
+        #: stage count on the counter and on that span.
+        self._fixpoint_site = Site(
+            "eval.fixpoint", registry=self.metrics,
+            counters=("fixpoint_stages",), attr="stages",
+        )
 
     # ------------------------------------------------------------------
     # Public API
@@ -559,15 +568,14 @@ class Evaluator:
             return frozenset(members)
 
         step = raw_step
-        if JOURNAL.enabled:
+        if _FIXPOINT_STAGE.journaling:
             operator = f"{formula.kind.value} {formula.set_var}"
             stage_box = [0]
 
             def step(current: frozenset) -> frozenset:
                 result = raw_step(current)
                 stage_box[0] += 1
-                JOURNAL.emit(
-                    "fixpoint.stage",
+                _FIXPOINT_STAGE(
                     operator=operator,
                     stage=stage_box[0],
                     size=len(result),
@@ -576,15 +584,14 @@ class Evaluator:
                 return result
 
         bound = len(universe) + 1
-        with TRACER.span("eval.fixpoint", aggregate=True) as fp_span:
+        with self._fixpoint_site.timed():
             if formula.kind is ast.FixKind.LFP:
                 run = least_fixpoint(step, bound)
             elif formula.kind is ast.FixKind.IFP:
                 run = inflationary_fixpoint(step, bound)
             else:
                 run = partial_fixpoint(step)
-            fp_span.add("stages", run.stages)
-        self._c_fixpoint_stages.inc(run.stages)
+            self._fixpoint_site(amount=run.stages)
         self._fixpoint_memo[memo_key] = run
         return run
 

@@ -1,30 +1,29 @@
-"""repro.obs — observability: spans, metrics and the event journal.
+"""repro.obs — observability: metrics, spans and the event journal.
 
-The subsystem has three layers, all with near-zero cost while idle:
+The subsystem has four layers, all with near-zero cost while idle:
 
-* :mod:`repro.obs.metrics` — named counters in (possibly nested)
-  registries; the process-wide registry aggregates everything.
+* :mod:`repro.obs.metrics` — one registry of named counters, histograms
+  (log-spaced buckets, exact count/sum, p50/p90/p99 estimates) and
+  gauges with optional low-cardinality labels; the process-wide
+  registry aggregates everything, and one state/merge path ships a
+  worker's counters and histograms home;
 * :mod:`repro.obs.tracing` — a span tree recorded by the process-wide
   :data:`TRACER`, disabled by default; ``repro profile`` and the
-  ``--trace`` CLI flag turn it on around one command.
-* :mod:`repro.obs.telemetry` — the distribution layer: thread-safe
-  histograms (log-spaced buckets, exact count/sum, p50/p90/p99
-  estimates) and gauges with optional low-cardinality labels, the
-  Prometheus text renderer behind ``GET /metrics`` / ``repro metrics``,
-  and per-tenant SLO burn-rate tracking; :mod:`repro.obs.slowlog` holds
-  the bounded slow-query JSONL that auto-captures EXPLAIN ANALYZE.
+  ``--trace`` CLI flag turn it on around one command;
 * :mod:`repro.obs.journal` — the flight recorder: a bounded ring buffer
   of typed events (span open/close, cache and store decisions, fixpoint
   stage summaries, worker lifecycle), optionally streamed to JSONL via
   ``--journal PATH`` / ``REPRO_JOURNAL``; :func:`~repro.obs.journal.\
   replay` folds a journal back into the exact span tree, which is what
-  ``repro explain --analyze`` consumes.
+  ``repro explain --analyze`` consumes;
+* :mod:`repro.obs.telemetry` — what operators read off the registry:
+  the Prometheus text renderer behind ``GET /metrics`` / ``repro
+  metrics`` and per-tenant SLO burn-rate tracking;
+  :mod:`repro.obs.slowlog` holds the bounded slow-query JSONL that
+  auto-captures EXPLAIN ANALYZE.
 
-Subsystems register their counters here on first use; the disk
-warm-start layer (:mod:`repro.store`) contributes ``store.hits`` /
-``store.misses`` / ``store.writes`` / ``store.corrupt_entries`` /
-``store.evictions`` plus aggregate ``store.load`` / ``store.save``
-spans, all visible in the ``repro profile`` dump.
+Instrumented code reaches the layers through a
+:class:`~repro.obs.site.Site`: one call per event feeds all of them.
 
 :func:`reset_all` returns every layer to its pristine state; the CLI
 entry point calls it so back-to-back ``repro.cli.main()`` invocations
@@ -33,28 +32,23 @@ counters, open traces or journal buffers into each other.
 """
 
 from repro.obs.metrics import (
+    ALLOWED_LABELS,
+    DEFAULT_BUCKETS,
     Counter,
+    Gauge,
+    Histogram,
     MetricsRegistry,
+    bucket_quantile,
     get_registry,
-    merge_snapshot,
     metrics_snapshot,
     reset_metrics,
 )
 from repro.obs.telemetry import (
-    ALLOWED_LABELS,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
     SloTracker,
-    TelemetryRegistry,
-    bucket_quantile,
-    get_telemetry,
-    merge_series_state,
     quantile,
     render_prometheus,
-    reset_telemetry,
-    telemetry_snapshot,
 )
+from repro.obs.site import Site
 from repro.obs.slowlog import (
     ENV_SLOW_LOG,
     SlowQueryLog,
@@ -84,37 +78,32 @@ from repro.obs.journal import (
 def reset_all() -> None:
     """Reset spans, metrics and the journal to their pristine state.
 
-    Zeroes every process-wide counter, discards any trace collection in
-    progress, and clears the journal ring (detaching its sink).  The
-    engine caches (:mod:`repro.engine`, :mod:`repro.store`) are *not*
-    touched — they are cross-invocation state by design.
+    Zeroes every process-wide counter, histogram and gauge, discards
+    any trace collection in progress, and clears the journal ring
+    (detaching its sink).  The engine caches (:mod:`repro.engine`,
+    :mod:`repro.store`) are *not* touched — they are cross-invocation
+    state by design.
     """
     reset_metrics()
-    reset_telemetry()
     TRACER.hard_reset()
     JOURNAL.reset()
 
 
 __all__ = [
-    "Counter",
-    "MetricsRegistry",
-    "get_registry",
-    "merge_snapshot",
-    "metrics_snapshot",
-    "reset_metrics",
     "ALLOWED_LABELS",
     "DEFAULT_BUCKETS",
+    "Counter",
     "Gauge",
     "Histogram",
-    "SloTracker",
-    "TelemetryRegistry",
+    "MetricsRegistry",
     "bucket_quantile",
-    "get_telemetry",
-    "merge_series_state",
+    "get_registry",
+    "metrics_snapshot",
+    "reset_metrics",
+    "SloTracker",
     "quantile",
     "render_prometheus",
-    "reset_telemetry",
-    "telemetry_snapshot",
+    "Site",
     "ENV_SLOW_LOG",
     "SlowQueryLog",
     "load_slow_log",

@@ -14,8 +14,6 @@ event type         payload (beyond ``seq`` / ``t`` / ``type``)
 ``span.close``     ``id``, ``wall_s``, ``calls``, ``attrs`` — the span
                    finished (final attributes)
 ``trace.end``      ``id``, ``wall_s`` — the collection's root closed
-``counter``        ``name``, ``delta`` — a counter checkpoint (worker
-                   merges, explicit flushes)
 ``cache``          ``layer`` (``engine`` | ``store``), ``kind``,
                    ``outcome`` (``hit`` | ``miss`` | ``write`` |
                    ``corrupt``), ``key`` — one cache/store decision
@@ -56,9 +54,10 @@ import threading
 import time
 from collections import deque
 from contextlib import contextmanager
-from typing import IO, Any, Iterable, Iterator
+from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator
 
-from repro.obs.tracing import Span
+if TYPE_CHECKING:
+    from repro.obs.tracing import Span
 
 #: Environment variable naming the JSONL sink path (the CLI's
 #: ``--journal`` flag overrides it).
@@ -161,9 +160,7 @@ class Journal:
         Also detaches (closing, if owned) any attached sink; used by
         :func:`repro.obs.reset_all` to make CLI invocations hermetic.
         """
-        was_enabled = self.enabled
         self.stop()
-        self.enabled = was_enabled and False
         self._ring.clear()
         self._seq = itertools.count()
         self.dropped = 0
@@ -203,14 +200,6 @@ class Journal:
             with self._lock:
                 sink.write(json.dumps(event, default=str) + "\n")
 
-    def emit_counters(self, snapshot: dict[str, int]) -> None:
-        """One ``counter`` event per non-zero entry of a snapshot."""
-        if not self.enabled:
-            return
-        for name, delta in sorted(snapshot.items()):
-            if delta:
-                self.emit("counter", name=name, delta=delta)
-
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
@@ -235,21 +224,9 @@ class Journal:
 #: The process-wide journal (disabled by default).
 JOURNAL = Journal()
 
-# The tracer mirrors span open/close into the journal; registration goes
-# this way round because the replay below builds tracer Span trees.
-from repro.obs import tracing as _tracing  # noqa: E402
-
-_tracing._attach_journal(JOURNAL)
-
 
 def journal_enabled() -> bool:
     return JOURNAL.enabled
-
-
-def emit(type_: str, **fields: Any) -> None:
-    """Module-level shortcut for ``JOURNAL.emit``."""
-    if JOURNAL.enabled:
-        JOURNAL.emit(type_, **fields)
 
 
 @contextmanager
@@ -317,6 +294,8 @@ def replay(source: "str | Iterable[dict]") -> ReplayResult:
     :attr:`~ReplayResult.root` satisfies ``root.to_dict() ==
     live_root.to_dict()`` byte-for-byte.
     """
+    from repro.obs.tracing import Span
+
     events = load_events(source) if isinstance(source, str) else list(source)
     live: dict[int, tuple[Span, int | None, bool]] = {}
     roots: list[Span] = []

@@ -1,35 +1,15 @@
-"""Distribution-aware telemetry: histograms, gauges, labels, SLOs.
+"""Telemetry on top of the registry: exposition, SLOs, raw quantiles.
 
-:mod:`repro.obs.metrics` gives the engine monotone counters — enough to
-know *how many* LP solves a query cost, useless for knowing whether the
-p99 request latency just doubled.  This module adds the production
-layer on top of the same registry idiom:
+Histograms and gauges live in the one registry of
+:mod:`repro.obs.metrics`; this module turns them into operator-facing
+output:
 
-* :class:`Histogram` — thread-safe, fixed log-spaced buckets plus an
-  exact ``count``/``sum``, with p50/p90/p99 estimation by linear
-  interpolation inside the winning bucket (the standard
-  ``histogram_quantile`` rule);
-* :class:`Gauge` — a thread-safe instantaneous value (in-flight
-  requests, queue depths);
-* :class:`TelemetryRegistry` — families of histograms/gauges keyed by
-  name plus an optional **low-cardinality** label set.  Only the label
-  keys in :data:`ALLOWED_LABELS` (``tenant``, ``endpoint``,
-  ``executor``, ``lp_mode``) are accepted, and a family folds into its
-  unlabeled aggregate series once it holds :data:`MAX_SERIES_PER_NAME`
-  distinct label sets — an unbounded tenant id can never explode the
-  registry;
 * :func:`render_prometheus` — the text exposition format served by
   ``GET /metrics`` and printed by ``repro metrics``;
 * :class:`SloTracker` — per-tenant rolling multi-window burn rates
   against a latency/error objective, surfaced in ``/v1/stats``;
 * :func:`quantile` — the one nearest-rank quantile implementation
   shared by the load generator and the server benchmarks.
-
-Snapshot/merge mirrors the counter contract: workers ship
-:func:`telemetry_snapshot` states home and
-:func:`merge_series_state` folds them in additively exactly once
-(:func:`repro.obs.metrics.merge_snapshot` routes histogram/gauge
-states here automatically).
 """
 
 from __future__ import annotations
@@ -37,48 +17,17 @@ from __future__ import annotations
 import math
 import threading
 import time as _time
-from bisect import bisect_left
 from collections import deque
-from collections.abc import Mapping, Sequence
-from contextlib import contextmanager
-from typing import Iterator
+from collections.abc import Sequence
 
-#: Label keys a series may carry.  Everything here is low-cardinality by
-#: construction (endpoints and modes are finite; tenants are admission-
-#: controlled) — anything else is rejected at call time.
-ALLOWED_LABELS = frozenset({"tenant", "endpoint", "executor", "lp_mode"})
-
-#: Distinct label sets one family may hold before further label sets
-#: fold into the family's unlabeled aggregate series.
-MAX_SERIES_PER_NAME = 64
-
-#: Default log-spaced latency buckets, in seconds: 100 µs doubling up to
-#: ~14 minutes.  Fixed (not per-series) so states merge bucket-for-bucket.
-DEFAULT_BUCKETS: tuple[float, ...] = tuple(1e-4 * 2**i for i in range(24))
-
-
-def _check_labels(labels: Mapping[str, str] | None) -> tuple[tuple[str, str], ...]:
-    """Validate and canonicalise a label mapping to a sorted tuple."""
-    if not labels:
-        return ()
-    bad = set(labels) - ALLOWED_LABELS
-    if bad:
-        raise ValueError(
-            f"disallowed metric label(s) {sorted(bad)}; "
-            f"allowed: {sorted(ALLOWED_LABELS)}"
-        )
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
-
-
-def _label_suffix(labels: tuple[tuple[str, str], ...]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(f'{k}="{_escape_label(v)}"' for k, v in labels)
-    return "{" + inner + "}"
-
-
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+from repro.obs.metrics import (
+    Gauge,
+    Histogram,
+    MetricsRegistry,
+    _escape_label,
+    _label_suffix,
+    get_registry,
+)
 
 
 def quantile(values: Sequence[float], q: float) -> float:
@@ -93,341 +42,6 @@ def quantile(values: Sequence[float], q: float) -> float:
         return 0.0
     index = min(len(ordered) - 1, max(0, round(q * (len(ordered) - 1))))
     return ordered[index]
-
-
-def bucket_quantile(
-    uppers: Sequence[float], cumulative: Sequence[int], q: float
-) -> float:
-    """Estimate a quantile from cumulative bucket counts.
-
-    ``uppers`` are the finite bucket upper bounds; ``cumulative`` has one
-    extra final entry for the ``+Inf`` overflow bucket (exactly the
-    shape of Prometheus ``_bucket{le=...}`` series).  Linear
-    interpolation inside the winning bucket; the overflow bucket clamps
-    to the largest finite bound.
-    """
-    if len(cumulative) != len(uppers) + 1:
-        raise ValueError("cumulative must have one entry per bucket plus +Inf")
-    total = cumulative[-1]
-    if total <= 0:
-        return 0.0
-    rank = q * total
-    lower = 0.0
-    prev = 0
-    for upper, cum in zip(uppers, cumulative):
-        if cum >= rank and cum > prev:
-            fraction = (rank - prev) / (cum - prev)
-            return lower + (upper - lower) * max(0.0, min(1.0, fraction))
-        lower, prev = upper, cum
-    return uppers[-1]
-
-
-class Histogram:
-    """A thread-safe histogram: fixed buckets plus exact count and sum.
-
-    ``observe`` is the hot-path operation: one lock, one linear bucket
-    scan bounded by the fixed bucket count (the common sub-millisecond
-    observations resolve in the first few comparisons).  ``count`` and
-    ``sum`` are exact — only the quantiles are bucket estimates.
-    """
-
-    __slots__ = ("name", "labels", "buckets", "_counts", "count", "sum", "_lock")
-
-    def __init__(
-        self,
-        name: str,
-        labels: tuple[tuple[str, str], ...] = (),
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        ordered = tuple(float(b) for b in buckets)
-        if not ordered or any(
-            b <= a for a, b in zip(ordered, ordered[1:])
-        ) or any(not math.isfinite(b) or b <= 0 for b in ordered):
-            raise ValueError("buckets must be finite, positive and increasing")
-        self.name = name
-        self.labels = labels
-        self.buckets = ordered
-        self._counts = [0] * (len(ordered) + 1)  # final slot = +Inf overflow
-        self.count = 0
-        self.sum = 0.0
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        # bisect_left finds the first bucket with upper >= value (C
-        # speed); a value past the last bound lands on the overflow
-        # slot.  This is the hot path — one bisect, one lock, three
-        # increments — and the E2 overhead measurement in
-        # docs/OBSERVABILITY.md holds it to the ≤2 % budget.
-        index = bisect_left(self.buckets, value)
-        with self._lock:
-            self._counts[index] += 1
-            self.count += 1
-            self.sum += value
-
-    @contextmanager
-    def time(self) -> Iterator[None]:
-        """Observe the wall-clock duration of the ``with`` body, in seconds."""
-        started = _time.perf_counter()
-        try:
-            yield
-        finally:
-            self.observe(_time.perf_counter() - started)
-
-    def cumulative(self) -> list[int]:
-        """Cumulative bucket counts, one extra final entry for ``+Inf``."""
-        with self._lock:
-            counts = list(self._counts)
-        out, running = [], 0
-        for c in counts:
-            running += c
-            out.append(running)
-        return out
-
-    def quantile(self, q: float) -> float:
-        """Bucket-interpolated quantile estimate (``q`` in ``[0, 1]``)."""
-        return bucket_quantile(self.buckets, self.cumulative(), q)
-
-    def percentiles(self) -> dict[str, float]:
-        """The standard trio: estimated p50/p90/p99, in the observed unit."""
-        cumulative = self.cumulative()
-        return {
-            "p50": bucket_quantile(self.buckets, cumulative, 0.50),
-            "p90": bucket_quantile(self.buckets, cumulative, 0.90),
-            "p99": bucket_quantile(self.buckets, cumulative, 0.99),
-        }
-
-    def state(self) -> dict:
-        """A mergeable snapshot of this series (see :func:`merge_series_state`)."""
-        with self._lock:
-            return {
-                "type": "histogram",
-                "name": self.name,
-                "labels": dict(self.labels),
-                "buckets": list(self.buckets),
-                "counts": list(self._counts),
-                "count": self.count,
-                "sum": self.sum,
-            }
-
-    def merge_state(self, state: Mapping) -> None:
-        """Fold another histogram's state in, additively, exactly once."""
-        if tuple(float(b) for b in state["buckets"]) != self.buckets:
-            raise ValueError(f"bucket mismatch merging histogram {self.name!r}")
-        counts = state["counts"]
-        with self._lock:
-            for i, c in enumerate(counts):
-                self._counts[i] += c
-            self.count += state["count"]
-            self.sum += state["sum"]
-
-    def reset(self) -> None:
-        with self._lock:
-            for i in range(len(self._counts)):
-                self._counts[i] = 0
-            self.count = 0
-            self.sum = 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Histogram({self.name}{_label_suffix(self.labels)} "
-            f"count={self.count} sum={self.sum:.6g})"
-        )
-
-
-class Gauge:
-    """A thread-safe instantaneous value (set / inc / dec)."""
-
-    __slots__ = ("name", "labels", "_value", "_lock")
-
-    def __init__(
-        self, name: str, labels: tuple[tuple[str, str], ...] = ()
-    ) -> None:
-        self.name = name
-        self.labels = labels
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
-    @contextmanager
-    def track(self) -> Iterator[None]:
-        """Increment for the duration of the ``with`` body (in-flight counts)."""
-        self.inc()
-        try:
-            yield
-        finally:
-            self.dec()
-
-    def state(self) -> dict:
-        return {
-            "type": "gauge",
-            "name": self.name,
-            "labels": dict(self.labels),
-            "value": self.value,
-        }
-
-    def merge_state(self, state: Mapping) -> None:
-        """Adopt a shipped gauge state (last writer wins — gauges are levels)."""
-        self.set(state["value"])
-
-    def reset(self) -> None:
-        self.set(0.0)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Gauge({self.name}{_label_suffix(self.labels)}={self.value})"
-
-
-class TelemetryRegistry:
-    """Families of histograms and gauges, keyed by name + label set.
-
-    Mirrors :class:`~repro.obs.metrics.MetricsRegistry`'s create-on-
-    first-use contract.  Label keys are validated against
-    :data:`ALLOWED_LABELS`; a family that reaches
-    :data:`MAX_SERIES_PER_NAME` distinct label sets silently folds new
-    label sets into its unlabeled aggregate series, so a hostile label
-    value degrades precision, never memory.
-    """
-
-    def __init__(self) -> None:
-        self._histograms: dict[str, Histogram] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._family_sizes: dict[str, int] = {}
-        self._lock = threading.Lock()
-
-    def _series_key(self, name: str, labels: tuple[tuple[str, str], ...]) -> str:
-        return name + _label_suffix(labels)
-
-    def _admit_labels(
-        self, name: str, labels: tuple[tuple[str, str], ...], table: dict
-    ) -> tuple[tuple[str, str], ...]:
-        if not labels:
-            return labels
-        if self._series_key(name, labels) in table:
-            return labels
-        if self._family_sizes.get(name, 0) >= MAX_SERIES_PER_NAME:
-            return ()
-        return labels
-
-    def histogram(
-        self,
-        name: str,
-        labels: Mapping[str, str] | None = None,
-        buckets: Sequence[float] = DEFAULT_BUCKETS,
-    ) -> Histogram:
-        """The histogram series for this name + label set, created on first use."""
-        canonical = _check_labels(labels)
-        with self._lock:
-            canonical = self._admit_labels(name, canonical, self._histograms)
-            key = self._series_key(name, canonical)
-            series = self._histograms.get(key)
-            if series is None:
-                series = Histogram(name, canonical, buckets)
-                self._histograms[key] = series
-                self._family_sizes[name] = self._family_sizes.get(name, 0) + 1
-            return series
-
-    def gauge(self, name: str, labels: Mapping[str, str] | None = None) -> Gauge:
-        """The gauge series for this name + label set, created on first use."""
-        canonical = _check_labels(labels)
-        with self._lock:
-            canonical = self._admit_labels(name, canonical, self._gauges)
-            key = self._series_key(name, canonical)
-            series = self._gauges.get(key)
-            if series is None:
-                series = Gauge(name, canonical)
-                self._gauges[key] = series
-                self._family_sizes[name] = self._family_sizes.get(name, 0) + 1
-            return series
-
-    def histograms(self) -> list[Histogram]:
-        with self._lock:
-            return [self._histograms[k] for k in sorted(self._histograms)]
-
-    def gauges(self) -> list[Gauge]:
-        with self._lock:
-            return [self._gauges[k] for k in sorted(self._gauges)]
-
-    def snapshot(self) -> dict[str, dict]:
-        """``{series_key: state}`` for every live series (mergeable)."""
-        out: dict[str, dict] = {}
-        for series in self.histograms():
-            out[self._series_key(series.name, series.labels)] = series.state()
-        for series in self.gauges():
-            out[self._series_key(series.name, series.labels)] = series.state()
-        return out
-
-    def merge(self, snapshot: Mapping[str, Mapping]) -> None:
-        """Fold a :meth:`snapshot` (or subset) in; each state counts once."""
-        for state in snapshot.values():
-            merge_series_state(state, self)
-
-    def reset(self) -> None:
-        """Zero every series (series identities survive, like counter reset)."""
-        for series in self.histograms():
-            series.reset()
-        for series in self.gauges():
-            series.reset()
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._histograms) + len(self._gauges)
-
-
-def merge_series_state(
-    state: Mapping, registry: "TelemetryRegistry | None" = None
-) -> None:
-    """Fold one shipped series state into a registry (default process-wide).
-
-    Histogram states add counts and sums exactly once; gauge states are
-    levels, so the shipped value simply replaces the local one.  This is
-    what :func:`repro.obs.metrics.merge_snapshot` calls for any snapshot
-    entry that is a mapping rather than an integer delta.
-    """
-    target = registry if registry is not None else _TELEMETRY
-    kind = state.get("type")
-    labels = state.get("labels") or {}
-    if kind == "histogram":
-        series = target.histogram(
-            state["name"], labels or None, buckets=state["buckets"]
-        )
-        series.merge_state(state)
-    elif kind == "gauge":
-        target.gauge(state["name"], labels or None).merge_state(state)
-    else:
-        raise ValueError(f"unknown telemetry state type: {kind!r}")
-
-
-#: The process-wide default telemetry registry.
-_TELEMETRY = TelemetryRegistry()
-
-
-def get_telemetry() -> TelemetryRegistry:
-    """The process-wide telemetry registry (histograms and gauges)."""
-    return _TELEMETRY
-
-
-def reset_telemetry() -> None:
-    """Zero the process-wide telemetry registry (test isolation)."""
-    _TELEMETRY.reset()
-
-
-def telemetry_snapshot() -> dict[str, dict]:
-    """Mergeable snapshot of the process-wide telemetry registry."""
-    return _TELEMETRY.snapshot()
 
 
 # --------------------------------------------------------------------------
@@ -450,23 +64,21 @@ def _format_value(value: float) -> str:
 
 
 def render_prometheus(
-    counters: Mapping[str, int] | None = None,
-    telemetry: TelemetryRegistry | None = None,
+    registry: MetricsRegistry | None = None,
     prefix: str = "repro_",
 ) -> str:
-    """Render counters plus a telemetry registry in Prometheus text format.
+    """Render a registry (default process-wide) in Prometheus text format.
 
-    ``counters`` is a ``{name: value}`` snapshot (e.g.
-    :func:`repro.obs.metrics.metrics_snapshot`); ``telemetry`` defaults
-    to the process-wide registry.  Counter names gain the conventional
-    ``_total`` suffix; histogram series emit cumulative
-    ``_bucket{le=...}`` lines (ending in ``le="+Inf"``) plus ``_count``
-    and ``_sum``.  Output is sorted, so scrapes are diff-stable.
+    Counter names gain the conventional ``_total`` suffix; histogram
+    series emit cumulative ``_bucket{le=...}`` lines (ending in
+    ``le="+Inf"``) plus ``_count`` and ``_sum``.  Output is sorted, so
+    scrapes are diff-stable.
     """
-    registry = telemetry if telemetry is not None else _TELEMETRY
+    registry = registry if registry is not None else get_registry()
+    counters = registry.snapshot()
     lines: list[str] = []
 
-    for name in sorted(counters or {}):
+    for name in sorted(counters):
         metric = _metric_name(name, prefix) + "_total"
         lines.append(f"# TYPE {metric} counter")
         lines.append(f"{metric} {counters[name]}")

@@ -43,26 +43,7 @@ import threading
 import time
 from typing import Any, Callable
 
-
-class _NullJournal:
-    """Stands in until :mod:`repro.obs.journal` registers the real one."""
-
-    __slots__ = ()
-    enabled = False
-
-    def emit(self, type_: str, **fields: Any) -> None:  # pragma: no cover
-        pass
-
-
-#: The journal the tracer mirrors span events into; replaced by the real
-#: process journal when :mod:`repro.obs.journal` is imported (the import
-#: cannot go the other way — journal replays into Span trees).
-_JOURNAL: Any = _NullJournal()
-
-
-def _attach_journal(journal: Any) -> None:
-    global _JOURNAL
-    _JOURNAL = journal
+from repro.obs.journal import JOURNAL
 
 
 class Span:
@@ -225,12 +206,12 @@ class _SpanContext:
         stack = tracer._thread_stack()
         self._stack = stack
         span = self._span
-        if _JOURNAL.enabled:
+        if JOURNAL.enabled:
             span._jid = next(tracer._ids)
             parent_id = tracer._root_id
             if stack and stack[-1]._jid:
                 parent_id = stack[-1]._jid
-            _JOURNAL.emit(
+            JOURNAL.emit(
                 "span.open",
                 id=span._jid,
                 parent=parent_id,
@@ -253,8 +234,8 @@ class _SpanContext:
                 stack.remove(span)
             except ValueError:
                 pass
-        if _JOURNAL.enabled and span._jid:
-            _JOURNAL.emit(
+        if JOURNAL.enabled and span._jid:
+            JOURNAL.emit(
                 "span.close",
                 id=span._jid,
                 wall_s=span.wall_s,
@@ -320,8 +301,8 @@ class Tracer:
         self._root_id = next(self._ids)
         root._jid = self._root_id
         self.enabled = True
-        if _JOURNAL.enabled:
-            _JOURNAL.emit("trace.begin", id=self._root_id, name=name)
+        if JOURNAL.enabled:
+            JOURNAL.emit("trace.begin", id=self._root_id, name=name)
         return self
 
     def stop(self) -> Span:
@@ -335,8 +316,8 @@ class Tracer:
         root_id = self._root_id
         self._root_id = None
         self._epoch = object()
-        if _JOURNAL.enabled:
-            _JOURNAL.emit("trace.end", id=root_id, wall_s=root.wall_s)
+        if JOURNAL.enabled:
+            JOURNAL.emit("trace.end", id=root_id, wall_s=root.wall_s)
         return root
 
     def hard_reset(self) -> None:

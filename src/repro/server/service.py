@@ -59,13 +59,9 @@ from repro.engine import QueryEngine
 from repro.incremental import Delta, delta_op, make_delta
 from repro.obs.journal import JOURNAL, journal_context
 from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.site import Site
 from repro.obs.slowlog import SlowQueryLog
-from repro.obs.telemetry import (
-    SloTracker,
-    TelemetryRegistry,
-    get_telemetry,
-    render_prometheus,
-)
+from repro.obs.telemetry import SloTracker, render_prometheus
 from repro.server.http import HttpError, HttpServer, Request, Response
 from repro.server.pool import EnginePool
 from repro.server.quota import (
@@ -79,6 +75,11 @@ TENANT_HEADER = "x-repro-tenant"
 
 #: Cap on sample witness points returned per answer.
 SAMPLE_POINTS = 5
+
+#: Journal-only records of the request path.
+_SLO_BURN = Site(journal="slo.burn")
+_ANSWERED = Site(journal="query.answered")
+_UPDATED = Site(journal="update.applied")
 
 
 class ConstraintService:
@@ -96,7 +97,6 @@ class ConstraintService:
         decomposition: str = "arrangement",
         spatial_name: str = "S",
         metrics: MetricsRegistry | None = None,
-        telemetry: TelemetryRegistry | None = None,
         max_requests: int | None = None,
     ) -> None:
         if not databases:
@@ -115,7 +115,6 @@ class ConstraintService:
             quota_rate=quota_rate,
             quota_burst=quota_burst,
             metrics=metrics,
-            telemetry=telemetry,
         )
         self.max_requests = max_requests
         self.requests_handled = 0
@@ -135,10 +134,8 @@ class ConstraintService:
         #: object ("default" and the first registered name).
         self._update_lock = asyncio.Lock()
         registry = metrics if metrics is not None else get_registry()
-        self._registry = registry
-        self.telemetry = (
-            telemetry if telemetry is not None else get_telemetry()
-        )
+        #: The one registry behind ``/v1/stats`` and ``/metrics``.
+        self.metrics = registry
         self._labels_on = self.config.metrics_labels == "on"
         #: Per-tenant SLO burn-rate tracking; the latency objective
         #: doubles as the slow-query capture threshold.
@@ -148,11 +145,22 @@ class ConstraintService:
             if self.config.slow_log is not None
             else None
         )
-        self._c_requests = registry.counter("server.requests")
+        self._begin = Site(
+            registry=registry, counters=("server.requests",),
+            journal="request.begin",
+        )
+        self._end = Site(
+            registry=registry, histogram="server.request_seconds",
+            journal="request.end",
+        )
+        self._inflight = registry.gauge("server.inflight_requests")
         self._c_ok = registry.counter("server.responses.ok")
         self._c_client_err = registry.counter("server.responses.client_error")
         self._c_server_err = registry.counter("server.responses.server_error")
         self._c_build_waits = registry.counter("server.build.coalesced")
+        #: Bound on the first capture, so ``server.slow_queries`` only
+        #: appears in the metrics once a query has been captured.
+        self._captured: Site | None = None
         self._routes: dict[str, tuple[str, Callable[..., Awaitable[Response]]]]
         self._routes = {
             "/v1/query": ("POST", self._handle_query),
@@ -168,22 +176,18 @@ class ConstraintService:
     # ------------------------------------------------------------------
     async def handle(self, request: Request) -> Response:
         """Route one request; every exit path is counted and journaled."""
-        self._c_requests.inc()
         request_id = f"req-{next(self._request_seq):08d}"
         tenant = (
             request.header(TENANT_HEADER).strip() or DEFAULT_TENANT
         )
         route = self._routes.get(request.path)
         started = time.perf_counter()
-        inflight = self.telemetry.gauge("server.inflight_requests")
-        with inflight.track(), journal_context(
+        with self._inflight.track(), journal_context(
             request=request_id, tenant=tenant
         ):
-            if JOURNAL.enabled:
-                JOURNAL.emit(
-                    "request.begin", id=request_id,
-                    method=request.method, path=request.path,
-                )
+            self._begin(
+                id=request_id, method=request.method, path=request.path
+            )
             try:
                 if route is None:
                     raise HttpError(
@@ -223,19 +227,15 @@ class ConstraintService:
                         request.path if route is not None else "unknown"
                     ),
                 }
-            self.telemetry.histogram(
-                "server.request_seconds", labels
-            ).observe(wall_s)
             alert = self.slo.observe(
                 tenant, wall_s * 1000, error=response.status >= 500
             )
-            if alert is not None and JOURNAL.enabled:
-                JOURNAL.emit("slo.burn", **alert)
-            if JOURNAL.enabled:
-                JOURNAL.emit(
-                    "request.end", id=request_id, status=response.status,
-                    wall_ms=round(wall_s * 1000, 3),
-                )
+            if alert is not None:
+                _SLO_BURN(**alert)
+            self._end(
+                seconds=wall_s, labels=labels, id=request_id,
+                status=response.status, wall_ms=round(wall_s * 1000, 3),
+            )
         self.requests_handled += 1
         if (
             self.max_requests is not None
@@ -341,9 +341,9 @@ class ConstraintService:
                 wall_ms = (time.perf_counter() - started) * 1000
             finally:
                 self.pool.checkin(engine)
-        if JOURNAL.enabled:
-            JOURNAL.emit(
-                "query.answered", id=request_id, database=name,
+        if _ANSWERED.journaling:
+            _ANSWERED(
+                id=request_id, database=name,
                 executor=self.config.executor, wall_ms=round(wall_ms, 3),
             )
         if self.slow_log is not None and wall_ms >= self.slo.latency_ms:
@@ -416,17 +416,19 @@ class ConstraintService:
                 "explain": result.to_dict(),
             }
             await asyncio.to_thread(self.slow_log.record, record)
-            self._registry.counter("server.slow_queries").inc()
-            if JOURNAL.enabled:
-                JOURNAL.emit(
-                    "slowquery.captured", id=request_id, database=name,
-                    wall_ms=round(wall_ms, 3),
-                    path=str(self.slow_log.path),
+            if self._captured is None:
+                self._captured = Site(
+                    registry=self.metrics, counters=("server.slow_queries",),
+                    journal="slowquery.captured",
                 )
+            self._captured(
+                id=request_id, database=name, wall_ms=round(wall_ms, 3),
+                path=str(self.slow_log.path),
+            )
         except asyncio.CancelledError:
             raise
         except Exception:  # noqa: BLE001 - diagnostics must not fail reads
-            self._registry.counter("server.slow_query_capture_failures").inc()
+            self.metrics.counter("server.slow_query_capture_failures").inc()
 
     async def _handle_explain(
         self, request: Request, request_id: str, tenant: str
@@ -526,9 +528,9 @@ class ConstraintService:
                 )
                 for alias in aliases:
                     self.databases[alias] = engine.database
-        if JOURNAL.enabled:
-            JOURNAL.emit(
-                "update.applied", id=request_id, database=name,
+        if _UPDATED.journaling:
+            _UPDATED(
+                id=request_id, database=name,
                 aliases=",".join(aliases),
                 parent=report.parent[:12], child=report.child[:12],
                 operations=report.operations,
@@ -567,7 +569,7 @@ class ConstraintService:
         return Response(200, {
             "uptime_s": round(time.monotonic() - self._started, 3),
             "requests": {
-                "total": self._c_requests.value,
+                "total": self.metrics.get("server.requests"),
                 "ok": self._c_ok.value,
                 "client_error": self._c_client_err.value,
                 "server_error": self._c_server_err.value,
@@ -593,18 +595,16 @@ class ConstraintService:
                     if self.slow_log is not None else None
                 ),
                 "threshold_ms": self.slo.latency_ms,
-                "records": self._registry.get("server.slow_queries"),
+                "records": self.metrics.get("server.slow_queries"),
             },
-            "metrics": self._registry.snapshot(),
+            "metrics": self.metrics.snapshot(),
         })
 
     async def _handle_metrics(
         self, request: Request, request_id: str, tenant: str
     ) -> Response:
         """Prometheus text exposition of counters, gauges and histograms."""
-        text = render_prometheus(
-            self._registry.snapshot(), self.telemetry
-        )
+        text = render_prometheus(self.metrics)
         return Response(
             200,
             text=text,

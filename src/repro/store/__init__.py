@@ -24,7 +24,7 @@ environment, so a warm parent store also warms its children.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from contextvars import ContextVar
 from typing import Iterator
 
@@ -48,8 +48,8 @@ __all__ = [
     "active_store",
     "arrangement_key",
     "codec",
-    "configure_store",
     "lineage_key",
+    "pin_store",
     "query_result_key",
     "resolve_store",
     "statistics_key",
@@ -64,14 +64,18 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 #: Environment variable giving the LRU size budget in bytes.
 ENV_CACHE_BUDGET = "REPRO_CACHE_BUDGET"
 
-# Explicit override (set by the CLI); None means "no override — fall
+# Explicit override (set by pin_store); None means "no override — fall
 # through to the environment".  Context-local so concurrent engines
 # (server worker threads) can each pin their own store without racing
 # on a shared global; ``asyncio.to_thread`` copies the context, so a
 # scope entered on the event loop is visible inside request threads.
-_configured: ContextVar["DiskStore | None"] = ContextVar(
+_configured: ContextVar["DiskStore | object | None"] = ContextVar(
     "repro_store_configured", default=None
 )
+
+#: An override meaning "no store": unlike no override at all, it also
+#: switches the ``REPRO_CACHE_DIR`` fallback off (see :func:`pin_store`).
+_NO_STORE = object()
 
 # One DiskStore per (resolved path, budget) so counters and eviction
 # state are shared by every engine in the process.
@@ -124,11 +128,13 @@ def resolve_store(
 def active_store() -> DiskStore | None:
     """The store the engine should use right now.
 
-    Resolution order: :func:`configure_store` override, then the
+    Resolution order: :func:`pin_store` override, then the
     ``REPRO_CACHE_DIR`` environment variable, then ``None`` (no
     persistence).
     """
     configured = _configured.get()
+    if configured is _NO_STORE:
+        return None
     if configured is not None:
         return configured
     path = os.environ.get(ENV_CACHE_DIR, "").strip()
@@ -137,34 +143,35 @@ def active_store() -> DiskStore | None:
     return store_at(path, size_budget=_env_budget())
 
 
-def configure_store(
-    target: "DiskStore | str | os.PathLike[str] | None",
-) -> DiskStore | None:
-    """Set the store override for this context; returns the previous one.
-
-    Passing ``None`` clears the override, so ``REPRO_CACHE_DIR``
-    resolution applies again.
-    """
-    previous = _configured.get()
-    _configured.set(resolve_store(target))
-    return previous
-
-
-@contextmanager
 def store_scope(
     target: "DiskStore | str | os.PathLike[str] | None",
-) -> Iterator[DiskStore | None]:
+) -> AbstractContextManager[DiskStore | None]:
     """Temporarily pin the store for the current context (the CLI's
     entry point).
 
     ``None`` is a no-op scope: the environment fallback stays live, so
     wrapping every CLI dispatch in ``store_scope(args.cache_dir)`` is
-    safe whether or not ``--cache-dir`` was given.  The pin is
-    context-local: engines scoping their own pinned stores on worker
-    threads never clobber each other (or the main thread).
+    safe whether or not ``--cache-dir`` was given.
     """
-    token = _configured.set(resolve_store(target))
+    if target is None:
+        return nullcontext(active_store())
+    return pin_store(resolve_store(target))
+
+
+@contextmanager
+def pin_store(store: DiskStore | None) -> Iterator[DiskStore | None]:
+    """Pin exactly ``store`` for the current context — ``None`` included.
+
+    This is an engine's scope: its configuration was resolved once, so
+    nested builds must see that store and nothing else.  Pinning
+    ``None`` switches the ``REPRO_CACHE_DIR`` fallback off, so a
+    variable set after the engine was configured cannot receive its
+    artifacts.  The pin is context-local: engines scoping their own
+    stores on worker threads never clobber each other (or the main
+    thread).
+    """
+    token = _configured.set(store if store is not None else _NO_STORE)
     try:
-        yield active_store()
+        yield store
     finally:
         _configured.reset(token)

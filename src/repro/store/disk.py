@@ -39,16 +39,9 @@ import os
 import pathlib
 import threading
 
-from repro.obs.journal import JOURNAL
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.telemetry import get_telemetry
-from repro.obs.tracing import TRACER
+from repro.obs.site import Site
 from repro.store import codec
-
-#: Latency distributions of store round trips, bound once like the
-#: counters (one histogram observe per load/save — disk I/O dwarfs it).
-_H_LOAD_SECONDS = get_telemetry().histogram("store.load_seconds")
-_H_SAVE_SECONDS = get_telemetry().histogram("store.save_seconds")
 
 
 class DiskStore:
@@ -73,10 +66,28 @@ class DiskStore:
         self._mutate_lock = threading.Lock()
         self._temp_seq = itertools.count()
         registry = metrics if metrics is not None else get_registry()
-        self._c_hits = registry.counter("store.hits")
-        self._c_misses = registry.counter("store.misses")
-        self._c_writes = registry.counter("store.writes")
-        self._c_corrupt = registry.counter("store.corrupt_entries")
+        self._registry = registry
+        # One site per round trip: each load/save decision is one call
+        # (counters, span attribute, ``cache`` journal record) inside
+        # the timed span + latency histogram.
+        self._load = Site(
+            "store.load", registry=registry,
+            histogram="store.load_seconds",
+            outcomes={
+                "hit": (("store.hits",), "hits"),
+                "miss": (("store.misses",), "misses"),
+                "corrupt": (
+                    ("store.corrupt_entries", "store.misses"), "corrupt"
+                ),
+            },
+            journal="cache", layer="store",
+        )
+        self._save = Site(
+            "store.save", registry=registry,
+            histogram="store.save_seconds",
+            outcomes={"write": (("store.writes",), None)},
+            journal="cache", layer="store",
+        )
         self._c_evictions = registry.counter("store.evictions")
 
     # ------------------------------------------------------------------
@@ -118,43 +129,28 @@ class DiskStore:
         always rebuild instead of trusting damaged bytes.
         """
         path = self.entry_path(kind, key)
-        with _H_LOAD_SECONDS.time(), \
-                TRACER.span("store.load", aggregate=True) as span:
-            span.set("kind", kind)
+        with self._load.timed(kind=kind):
             try:
                 data = path.read_bytes()
-            except FileNotFoundError:
-                self._c_misses.inc()
-                span.add("misses", 1)
-                self._journal(kind, key, "miss")
-                return None
             except OSError:
-                self._c_misses.inc()
-                span.add("misses", 1)
-                self._journal(kind, key, "miss")
+                self._load("miss", kind=kind, key=key[:12])
                 return None
             try:
                 artifact = codec.loads(kind, data)
             except codec.CodecError:
                 self._quarantine(path, kind)
-                self._c_corrupt.inc()
-                self._c_misses.inc()
-                span.add("corrupt", 1)
-                self._journal(kind, key, "corrupt")
+                self._load("corrupt", kind=kind, key=key[:12])
                 return None
-            self._c_hits.inc()
-            span.add("hits", 1)
-            span.add("bytes", len(data))
-            self._journal(kind, key, "hit")
+            self._load(
+                "hit", attrs={"bytes": len(data)}, kind=kind, key=key[:12]
+            )
             self._touch(path)
             return artifact
 
     def save(self, kind: str, key: str, obj: object) -> pathlib.Path:
         """Write one artifact atomically; returns the entry path."""
         path = self.entry_path(kind, key)
-        with _H_SAVE_SECONDS.time(), \
-                TRACER.span("store.save", aggregate=True) as span:
-            span.set("kind", kind)
+        with self._save.timed(kind=kind):
             data = codec.dumps(kind, obj)
             path.parent.mkdir(parents=True, exist_ok=True)
             temp = path.parent / (
@@ -169,22 +165,13 @@ class DiskStore:
                         temp.unlink()
                     except OSError:
                         pass
-            self._c_writes.inc()
-            span.add("bytes", len(data))
-            self._journal(kind, key, "write")
+            self._save(
+                "write", attrs={"bytes": len(data)}, kind=kind, key=key[:12]
+            )
             if self.size_budget is not None:
                 with self._mutate_lock:
                     self._evict()
         return path
-
-    @staticmethod
-    def _journal(kind: str, key: str, outcome: str) -> None:
-        """One ``cache`` journal event per load/save decision."""
-        if JOURNAL.enabled:
-            JOURNAL.emit(
-                "cache", layer="store", kind=kind,
-                outcome=outcome, key=key[:12],
-            )
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -256,10 +243,10 @@ class DiskStore:
             except OSError:  # pragma: no cover - racing process
                 continue
         return {
-            "hits": self._c_hits.value,
-            "misses": self._c_misses.value,
-            "writes": self._c_writes.value,
-            "corrupt_entries": self._c_corrupt.value,
+            "hits": self._registry.get("store.hits"),
+            "misses": self._registry.get("store.misses"),
+            "writes": self._registry.get("store.writes"),
+            "corrupt_entries": self._registry.get("store.corrupt_entries"),
             "evictions": self._c_evictions.value,
             "entries": len(files),
             "bytes": total,

@@ -8,6 +8,7 @@ construction, and an engine never re-reads the environment afterwards.
 from __future__ import annotations
 
 import dataclasses
+import pathlib
 
 import pytest
 
@@ -161,20 +162,20 @@ def test_unparsable_jobs_environment_is_sequential(clean_env):
 
 def test_engine_pins_config_at_construction(clean_env):
     """Moving the environment after construction changes nothing."""
-    from repro.obs.telemetry import get_telemetry, reset_telemetry
+    from repro.obs.metrics import get_registry, reset_metrics
 
     engine = QueryEngine(_interval_db())
     clean_env.setenv(ENV_EXECUTOR, "interpreted")
     clean_env.setenv(ENV_OPTIMIZER, "off")
     clean_env.setenv(ENV_LP_MODE, "exact")
-    reset_telemetry()
+    reset_metrics()
     assert engine.truth("exists x0. S(x0)")
     stats = engine.stats()
     assert stats["executor"] == "compiled"
     assert stats["optimizer"]["enabled"] is True
     labels = {
         tuple(series.labels)
-        for series in get_telemetry().histograms()
+        for series in get_registry().histograms()
         if series.name == "engine.evaluate_seconds" and series.count
     }
     assert labels == {(("executor", "compiled"), ("lp_mode", "filtered"))}
@@ -254,3 +255,30 @@ def test_engine_stats_report_executor(clean_env):
     assert stats["executor"] == "interpreted"
     assert "backend" not in stats
     assert engine.evaluator.executor == "interpreted"
+
+
+def test_unpinned_store_stays_unpinned(clean_env, tmp_path):
+    """A config resolved without a store never writes one later.
+
+    Setting ``REPRO_CACHE_DIR`` after construction must not give the
+    engine's nested arrangement builds a store to write into.
+    """
+    from repro.constraints.io import load_database
+    from repro.engine import EngineCache
+    from repro.obs.metrics import MetricsRegistry
+
+    MAP = pathlib.Path(__file__).resolve().parent.parent / "examples/map.cdb"
+
+    config = EngineConfig.resolve(jobs=1)
+    assert config.cache_dir is None
+    engine = QueryEngine(
+        load_database(MAP),
+        cache=EngineCache(metrics=MetricsRegistry()),
+        config=config,
+    )
+    late = tmp_path / "late"
+    clean_env.setenv(ENV_CACHE_DIR, str(late))
+    assert engine.truth("exists x0. exists x1. S(x0, x1)")
+    written = [p for p in late.rglob("*") if p.is_file()] \
+        if late.exists() else []
+    assert written == []

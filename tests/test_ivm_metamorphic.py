@@ -9,12 +9,15 @@ Three families of "nothing downstream can tell" properties:
 * **lineage replay** — every recorded version is reconstructible from
   its persisted delta chain, verified by fingerprint at each hop;
 * **compaction** — folding a chain back into a snapshot changes how a
-  version is stored, never what it answers.
+  version is stored, never what it answers;
+* **isolation** — an engine's delta report counts its own planes, even
+  while another engine writes at the same time.
 """
 
 from __future__ import annotations
 
 import pathlib
+import threading
 
 import pytest
 
@@ -203,7 +206,8 @@ def test_lineage_records_are_never_overwritten(tmp_path):
 
     # Undo: child -> original.  The root snapshot must survive.
     returned = log.record(child, database, invert(delta))
-    assert returned.is_snapshot
+    assert returned.record.is_snapshot
+    assert not returned.compacted
     assert log.load(root_print).is_snapshot
     # And both versions still replay.
     assert database_fingerprint(log.replay(root_print)) == root_print
@@ -256,3 +260,43 @@ def test_replay_unknown_fingerprint_raises(tmp_path):
     log = LineageLog(store_at(tmp_path))
     with pytest.raises(DeltaError):
         log.replay("0" * 64)
+
+
+def test_concurrent_engines_report_their_own_planes():
+    """Two engines writing at once each report only their own planes."""
+    from repro.constraints.io import load_database
+
+    MAP = pathlib.Path(__file__).resolve().parent.parent / "examples/map.cdb"
+    op = (
+        "insert", "S", "x0 >= 7 & x0 <= 9 & x1 >= 1 & 2*x1 <= 3*x0 - 12"
+    )
+
+    def engine():
+        return QueryEngine(
+            load_database(MAP),
+            cache=EngineCache(metrics=MetricsRegistry()),
+            config=EngineConfig(jobs=1, optimizer="off"),
+        )
+
+    solo = engine().apply_delta([op])
+    assert solo.planes_inserted == 4
+    for _trial in range(5):
+        engines = [engine(), engine()]
+        barrier = threading.Barrier(len(engines))
+        reports: list = [None] * len(engines)
+
+        def write(index: int) -> None:
+            barrier.wait()
+            reports[index] = engines[index].apply_delta([op])
+
+        threads = [
+            threading.Thread(target=write, args=(i,))
+            for i in range(len(engines))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for report in reports:
+            assert report.planes_inserted == solo.planes_inserted
+            assert report.planes_retracted == solo.planes_retracted

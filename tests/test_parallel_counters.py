@@ -1,8 +1,8 @@
 """Parallel builds report the same counters as sequential builds.
 
-Workers measure the counter deltas of their subtree enumeration and
-ship them home with the face batch; the parent merges every delta into
-its registry.  With the seeded enumerator no longer re-counting its
+Workers measure the registry delta of their subtree enumeration —
+counters and histograms — and ship it home with the face batch; the
+parent merges every delta into its registry.  With the seeded enumerator no longer re-counting its
 seed node, a parallel build's ``lp.solves`` / ``arrangement.dfs_nodes``
 totals equal the sequential build's exactly — the satellite contract of
 ``repro query --jobs N``.
@@ -21,7 +21,7 @@ from repro.geometry.hyperplane import Hyperplane
 from repro.geometry.simplex import clear_feasibility_cache
 from repro.obs import reset_all
 from repro.obs.journal import JOURNAL
-from repro.obs.metrics import metrics_snapshot
+from repro.obs.metrics import get_registry, metrics_snapshot
 
 PLANES = [
     Hyperplane.make([2 * i + 1, -1], i * i) for i in range(6)
@@ -53,15 +53,30 @@ def build(jobs: int):
     return arrangement, snapshot
 
 
+def histogram_counts() -> dict:
+    return {
+        (series.name, series.labels): series.count
+        for series in get_registry().histograms()
+        if series.count
+    }
+
+
 class TestParallelCounterMerge:
     def test_sequential_equals_parallel(self):
         sequential, seq_counts = build(1)
+        seq_histograms = histogram_counts()
         parallel, par_counts = build(4)
+        par_histograms = histogram_counts()
         assert parallel.faces == sequential.faces
         if par_counts.get("arrangement.parallel_fallbacks"):
             pytest.skip("no worker processes available in this sandbox")
         for name in WATCHED:
             assert par_counts.get(name, 0) == seq_counts.get(name, 0), name
+        # Histograms travel home with the counters: every family counts
+        # the same observations at jobs 1 and 4.
+        assert seq_histograms[("lp.solve_seconds", ())] \
+            == seq_counts["lp.solves"]
+        assert par_histograms == seq_histograms
 
     def test_fallback_also_matches_sequential(self, monkeypatch):
         """Pool creation failing must not skew the counters either."""

@@ -1,8 +1,8 @@
 """Server-side telemetry: /metrics, SLO stats and the slow-query log.
 
 Drives :meth:`ConstraintService.handle` directly (like
-``test_server_service.py``) with a private metrics + telemetry registry
-per service, so assertions never race other tests' observations.
+``test_server_service.py``) with a private metrics registry per
+service, so assertions never race other tests' observations.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from repro.explain import plan_cost_totals
 from repro.obs import reset_all
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import load_slow_log
-from repro.obs.telemetry import TelemetryRegistry
 from repro.server import ConstraintService
 from repro.server.http import Request, encode
 
@@ -46,7 +45,6 @@ def _call(service: ConstraintService, request: Request):
 
 def _service(**kwargs) -> ConstraintService:
     kwargs.setdefault("metrics", MetricsRegistry())
-    kwargs.setdefault("telemetry", TelemetryRegistry())
     return ConstraintService({"demo": _db()}, **kwargs)
 
 
@@ -208,6 +206,8 @@ class TestSlowQueryCapture:
     def test_capture_counter_and_journal_record(self, tmp_path):
         metrics = MetricsRegistry()
         service = self._slow_service(tmp_path, metrics=metrics)
+        # The counter appears with the first capture, not before.
+        assert "server.slow_queries" not in metrics.snapshot()
         _call(service, _request("POST", "/v1/query",
                                 b'{"query": "S(x0)"}'))
         assert metrics.counter("server.slow_queries").value == 1
@@ -225,16 +225,16 @@ class TestInflightGauge:
         service = _service()
         _call(service, _request("POST", "/v1/query",
                                 b'{"query": "S(x0)"}'))
-        gauge = service.telemetry.gauge("server.inflight_requests")
+        gauge = service.metrics.gauge("server.inflight_requests")
         assert gauge.value == 0.0
 
     def test_admission_gauges_exist_and_settle(self):
         service = _service()
         _call(service, _request("POST", "/v1/query",
                                 b'{"query": "S(x0)"}'))
-        assert service.telemetry.gauge(
+        assert service.metrics.gauge(
             "server.admission.active"
         ).value == 0.0
-        assert service.telemetry.gauge(
+        assert service.metrics.gauge(
             "server.admission.waiting"
         ).value == 0.0

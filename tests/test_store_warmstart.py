@@ -101,12 +101,12 @@ def test_store_scope_pins_and_restores(tmp_path, monkeypatch):
         with store_pkg.store_scope(None):
             pass
     assert store_pkg.active_store() is None
-    # … and configure_store survives until cleared.
-    previous = store_pkg.configure_store(pinned)
-    assert previous is None
-    assert store_pkg.active_store() is pinned
-    store_pkg.configure_store(None)
-    assert store_pkg.active_store() is None
+    # … while pin_store(None) is one, even over REPRO_CACHE_DIR.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "env"))
+    with store_pkg.pin_store(None) as active:
+        assert active is None
+        assert store_pkg.active_store() is None
+    assert store_pkg.active_store() is not None
 
 
 def test_store_scope_is_thread_local(tmp_path, monkeypatch):

@@ -17,22 +17,18 @@ import pytest
 
 from repro.bench import check_regression, load_history
 from repro.obs import reset_all
-from repro.obs.metrics import MetricsRegistry, get_registry, merge_snapshot
-from repro.obs.slowlog import SlowQueryLog, load_slow_log
-from repro.obs.telemetry import (
+from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MAX_SERIES_PER_NAME,
     Gauge,
     Histogram,
-    SloTracker,
-    TelemetryRegistry,
+    MetricsRegistry,
     bucket_quantile,
-    get_telemetry,
-    quantile,
-    render_prometheus,
-    reset_telemetry,
-    telemetry_snapshot,
+    get_registry,
+    reset_metrics,
 )
+from repro.obs.slowlog import SlowQueryLog, load_slow_log
+from repro.obs.telemetry import SloTracker, quantile, render_prometheus
 
 
 @pytest.fixture(autouse=True)
@@ -194,25 +190,25 @@ class TestGauge:
 
 class TestRegistry:
     def test_create_on_first_use_and_identity(self):
-        registry = TelemetryRegistry()
+        registry = MetricsRegistry()
         assert registry.histogram("h") is registry.histogram("h")
         assert registry.gauge("g") is registry.gauge("g")
-        assert len(registry) == 2
+        assert len(registry.histograms()) + len(registry.gauges()) == 2
 
     def test_labeled_series_are_distinct(self):
-        registry = TelemetryRegistry()
+        registry = MetricsRegistry()
         plain = registry.histogram("h")
         labeled = registry.histogram("h", {"tenant": "acme"})
         assert plain is not labeled
         assert labeled.labels == (("tenant", "acme"),)
 
     def test_disallowed_label_rejected(self):
-        registry = TelemetryRegistry()
+        registry = MetricsRegistry()
         with pytest.raises(ValueError, match="disallowed"):
             registry.histogram("h", {"user_id": "123"})
 
     def test_family_cap_folds_into_unlabeled_aggregate(self):
-        registry = TelemetryRegistry()
+        registry = MetricsRegistry()
         aggregate = registry.histogram("h")
         for i in range(MAX_SERIES_PER_NAME + 10):
             registry.histogram("h", {"tenant": f"t{i}"}).observe(0.001)
@@ -225,14 +221,14 @@ class TestRegistry:
         assert len(families) <= MAX_SERIES_PER_NAME
 
     def test_snapshot_merge_does_not_double_count(self):
-        source = TelemetryRegistry()
+        source = MetricsRegistry()
         source.histogram("h", {"tenant": "acme"}).observe(0.01)
         source.histogram("h", {"tenant": "acme"}).observe(0.02)
         source.gauge("g").set(7.0)
 
-        target = TelemetryRegistry()
+        target = MetricsRegistry()
         target.histogram("h", {"tenant": "acme"}).observe(0.04)
-        target.merge(source.snapshot())
+        target.merge(source.state())
 
         merged = target.histogram("h", {"tenant": "acme"})
         assert merged.count == 3
@@ -240,82 +236,114 @@ class TestRegistry:
         assert target.gauge("g").value == 7.0
         # Merging the same snapshot twice WOULD double-count — each
         # shipped state must be folded exactly once, like counters.
-        target.merge(source.snapshot())
+        target.merge(source.state())
         assert merged.count == 5
 
     def test_merge_bucket_mismatch_raises(self):
-        source = TelemetryRegistry()
+        source = MetricsRegistry()
         source.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        target = TelemetryRegistry()
+        target = MetricsRegistry()
         target.histogram("h")  # default buckets
         with pytest.raises(ValueError, match="bucket mismatch"):
-            target.merge(source.snapshot())
+            target.merge(source.state())
 
     def test_reset_zeroes_in_place(self):
-        registry = TelemetryRegistry()
+        registry = MetricsRegistry()
         histogram = registry.histogram("h")
         histogram.observe(1.0)
         registry.gauge("g").set(4.0)
         registry.reset()
         assert histogram.count == 0
         assert registry.gauge("g").value == 0.0
-        assert len(registry) == 2  # identities survive
+        # Identities survive.
+        assert registry.histogram("h") is histogram
+        assert len(registry.histograms()) + len(registry.gauges()) == 2
+
+    def test_counter_snapshot_stays_counters_only(self):
+        registry = MetricsRegistry()
+        registry.counter("c").inc(2)
+        registry.histogram("h").observe(0.5)
+        registry.gauge("g").set(1.0)
+        assert registry.snapshot() == {"c": 2}
+        assert registry.get("h") == 0
+
+    def test_state_after_reset_carries_only_new_work(self):
+        """What a parallel worker ships: zero, work, state."""
+        registry = MetricsRegistry()
+        registry.counter("c").inc(3)
+        registry.counter("idle").inc(1)
+        registry.histogram("h").observe(0.5)
+        registry.reset()
+        registry.counter("c").inc(2)
+        registry.histogram("h").observe(0.25)
+        registry.histogram("new").observe(1.0)
+        state = registry.state()
+        assert state["counters"] == {"c": 2}  # zero counters are omitted
+        by_name = {s["name"]: s for s in state["histograms"]}
+        assert by_name["h"]["count"] == 1
+        assert by_name["h"]["sum"] == pytest.approx(0.25)
+        assert by_name["new"]["count"] == 1
+
+        target = MetricsRegistry()
+        target.counter("c").inc(5)
+        target.merge(state)
+        assert target.snapshot() == {"c": 7}
+        assert target.histogram("h").count == 1
 
 
 class TestProcessWideHelpers:
     def test_reset_all_clears_telemetry(self):
-        get_telemetry().histogram("h").observe(1.0)
-        get_telemetry().gauge("g").set(2.0)
+        get_registry().histogram("h").observe(1.0)
+        get_registry().gauge("g").set(2.0)
         reset_all()
-        assert get_telemetry().histogram("h").count == 0
-        assert get_telemetry().gauge("g").value == 0.0
+        assert get_registry().histogram("h").count == 0
+        assert get_registry().gauge("g").value == 0.0
 
-    def test_reset_telemetry_alone(self):
-        get_telemetry().histogram("h").observe(1.0)
-        reset_telemetry()
-        assert get_telemetry().histogram("h").count == 0
+    def test_reset_metrics_clears_series(self):
+        get_registry().histogram("h").observe(1.0)
+        reset_metrics()
+        assert get_registry().histogram("h").count == 0
 
-    def test_merge_snapshot_routes_mixed_payload(self):
-        """One worker snapshot may carry counter deltas AND series states."""
-        worker = TelemetryRegistry()
+    def test_merge_folds_counters_and_series(self):
+        """One worker state carries counter deltas AND series states."""
+        worker = MetricsRegistry()
+        worker.counter("lp.solves").inc(4)
         worker.histogram("h").observe(0.5)
         worker.gauge("g").set(9.0)
-        payload: dict = {"lp.solves": 4}
-        payload.update(worker.snapshot())
 
-        merge_snapshot(payload)
+        get_registry().merge(worker.state())
 
         assert get_registry().counter("lp.solves").value == 4
-        assert get_telemetry().histogram("h").count == 1
-        assert get_telemetry().histogram("h").sum == pytest.approx(0.5)
-        assert get_telemetry().gauge("g").value == 9.0
-        # Telemetry states land in the telemetry registry, never as
-        # phantom counters.
+        assert get_registry().histogram("h").count == 1
+        assert get_registry().histogram("h").sum == pytest.approx(0.5)
+        assert get_registry().gauge("g").value == 9.0
+        # Series states never turn into phantom counters.
         snapshot = get_registry().snapshot()
         assert all(isinstance(v, int) for v in snapshot.values())
+        assert "h" not in snapshot and "g" not in snapshot
 
-    def test_telemetry_snapshot_round_trip(self):
-        get_telemetry().histogram("h").observe(0.25)
-        shipped = telemetry_snapshot()
+    def test_state_round_trip(self):
+        get_registry().histogram("h").observe(0.25)
+        shipped = get_registry().state()
         reset_all()
-        merge_snapshot(shipped)
-        assert get_telemetry().histogram("h").count == 1
+        get_registry().merge(shipped)
+        assert get_registry().histogram("h").count == 1
 
 
 class TestRenderPrometheus:
     def test_counters_get_total_suffix_and_type(self):
-        text = render_prometheus(
-            {"lp.solves": 3}, TelemetryRegistry()
-        )
+        registry = MetricsRegistry()
+        registry.counter("lp.solves").inc(3)
+        text = render_prometheus(registry)
         assert "# TYPE repro_lp_solves_total counter" in text
         assert "repro_lp_solves_total 3" in text
 
     def test_histogram_bucket_monotonicity_and_inf(self):
-        registry = TelemetryRegistry()
+        registry = MetricsRegistry()
         histogram = registry.histogram("server.request_seconds")
         for value in (0.0001, 0.004, 0.03, 99999.0):
             histogram.observe(value)
-        text = render_prometheus({}, registry)
+        text = render_prometheus(registry)
         bucket_values = []
         inf_value = count_value = None
         for line in text.splitlines():
@@ -332,30 +360,29 @@ class TestRenderPrometheus:
         assert inf_value == count_value == 4
 
     def test_labeled_series_render_with_labels(self):
-        registry = TelemetryRegistry()
+        registry = MetricsRegistry()
         registry.histogram(
             "server.request_seconds",
             {"tenant": "acme", "endpoint": "/v1/query"},
         ).observe(0.01)
         registry.gauge("server.inflight_requests").set(2)
-        text = render_prometheus({}, registry)
+        text = render_prometheus(registry)
         assert 'endpoint="/v1/query"' in text
         assert 'tenant="acme"' in text
         assert "# TYPE repro_server_inflight_requests gauge" in text
 
     def test_label_values_are_escaped(self):
-        registry = TelemetryRegistry()
+        registry = MetricsRegistry()
         registry.gauge("g", {"tenant": 'a"b\\c\nd'}).set(1)
-        text = render_prometheus({}, registry)
+        text = render_prometheus(registry)
         assert 'tenant="a\\"b\\\\c\\nd"' in text
 
     def test_output_is_diff_stable(self):
-        registry = TelemetryRegistry()
+        registry = MetricsRegistry()
         registry.histogram("b").observe(0.1)
         registry.gauge("a").set(1)
-        assert render_prometheus({"z": 1}, registry) == render_prometheus(
-            {"z": 1}, registry
-        )
+        registry.counter("z").inc()
+        assert render_prometheus(registry) == render_prometheus(registry)
 
 
 class TestSloTracker:
